@@ -12,7 +12,8 @@ NumPy, etc.).  The subclasses partition failures by subsystem:
   not monotone decreasing / has malformed intervals.
 * :class:`WorkloadError` — trace generation parameters are infeasible.
 * :class:`ScheduleError` — an allocation references unknown tasks or
-  infeasible machines.
+  infeasible machines.  Its refinement :class:`KernelBuildError` means
+  the batch kernel's C library could not be compiled or loaded.
 * :class:`OptimizationError` — an optimization engine was configured
   inconsistently (population size, operator probabilities, ...).
 * :class:`AlgorithmLookupError` — a requested algorithm name is not in
@@ -61,6 +62,7 @@ __all__ = [
     "UtilityFunctionError",
     "WorkloadError",
     "ScheduleError",
+    "KernelBuildError",
     "OptimizationError",
     "AlgorithmLookupError",
     "AnalysisError",
@@ -100,6 +102,19 @@ class WorkloadError(ReproError):
 
 class ScheduleError(ReproError):
     """A resource allocation is malformed or infeasible."""
+
+
+class KernelBuildError(ScheduleError):
+    """The ``batch`` kernel's C library could not be built or loaded.
+
+    ``stderr`` holds the compiler's diagnostics (empty when the failure
+    was not a compile).  ``kernel_method="batch-reference"`` evaluates
+    the same semantics without a compiler.
+    """
+
+    def __init__(self, message: str, stderr: str = "") -> None:
+        super().__init__(message)
+        self.stderr = stderr
 
 
 class OptimizationError(ReproError):

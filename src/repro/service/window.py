@@ -251,7 +251,6 @@ class WindowEvaluator:
         batch: "WindowBatch",
         kernel_method: str = "batch",
         cache_size: int = DEFAULT_CACHE_SIZE,
-        prefix_stride: int = 0,
         obs: Optional["RunContext"] = None,
         reuse_from: Optional["WindowEvaluator"] = None,
     ) -> None:
@@ -277,7 +276,6 @@ class WindowEvaluator:
             check_feasibility=False,
             kernel_method=kernel_method,
             cache_size=cache_size,
-            prefix_stride=prefix_stride,
             obs=obs,
         )
         self.kernel_adopted = False

@@ -76,7 +76,7 @@ DEFAULT_KERNEL_METHOD = "batch"
 #: sets at the benchmark scales: a 125-generation Figure-3 run inserts
 #: ~62k distinct queue states, so 2¹⁷ entries leave ~2× headroom before
 #: a capacity clear while costing ~20 MB for the chromosome cache and
-#: ~10 MB for the batch kernel's queue/prefix tables.  Power of two so
+#: ~10 MB for the batch kernel's queue-state table.  Power of two so
 #: the batch kernel's open-addressing tables use it directly.
 DEFAULT_CACHE_SIZE = 131_072
 
@@ -605,14 +605,6 @@ class ScheduleEvaluator:
         two batch modes are bit-identical to each other but differ in
         the last float bits from ``fast``/``reference`` (different,
         equally valid summation associations).
-    prefix_stride:
-        Batch-mode only: anchor spacing of the prefix-resume cache
-        tier; ``0`` (default) disables it.  On the bundled datasets the
-        tier's anchor-table traffic costs more wall-clock than the fold
-        work it skips, so it is off by default — enabling it raises the
-        measured ``reuse_rate`` but not throughput (see
-        ``docs/performance.md``).  Results are bit-identical either
-        way.
     obs:
         Optional :class:`~repro.obs.context.RunContext`.  When enabled,
         each batch evaluation records an ``evaluator.batch`` span and
@@ -641,7 +633,6 @@ class ScheduleEvaluator:
         kernel_method: str = DEFAULT_KERNEL_METHOD,
         obs: Optional["RunContext"] = None,
         precomputed: Optional[EvaluatorArrays] = None,
-        prefix_stride: int = 0,
     ) -> None:
         trace.validate_against(system.num_task_types)
         if kernel_method not in (
@@ -731,8 +722,6 @@ class ScheduleEvaluator:
                 self,
                 use_cache=cache_size > 0,
                 queue_slots_log2=min(28, slots_log2),
-                prefix_slots_log2=min(28, slots_log2 + 1),
-                prefix_stride=prefix_stride,
             )
 
     @property
@@ -833,7 +822,7 @@ class ScheduleEvaluator:
         """Evaluation-cache counters (all zero when caching is off).
 
         In ``kernel_method="batch"`` the counters come from the batch
-        kernel's queue/prefix state tables instead of the per-chromosome
+        kernel's queue-state table instead of the per-chromosome
         cache, and include element-level ``reuse_rate``.
         """
         if self._batch_kernel is not None:
@@ -918,12 +907,11 @@ class ScheduleEvaluator:
             metrics.gauge(
                 "evaluator_reuse_rate",
                 help="fraction of queue elements answered from cached "
-                "queue/prefix state in the latest batch",
+                "queue state in the latest batch",
             ).set(reuse_rate)
             metrics.counter(
                 "evaluator_queue_states_reused_total",
-                help="queue elements covered by cached full-queue or "
-                "prefix state",
+                help="queue elements covered by cached full-queue state",
             ).inc(int(batch.get("elements_reused", 0)))
         else:
             hits = (cache.hits - hits0) if cache else 0

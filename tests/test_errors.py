@@ -41,6 +41,7 @@ NESTED = {
     "CellTimeoutError",
     "CorruptResultError",
     "GridManifestError",
+    "KernelBuildError",
 }
 
 
@@ -62,6 +63,11 @@ def test_io_errors_refine_experiment_error():
     assert issubclass(errors.CheckpointError, errors.ExperimentError)
     assert issubclass(errors.CorruptArtifactError, errors.ExperimentError)
     assert issubclass(errors.ParallelExecutionError, errors.ExperimentError)
+
+
+def test_kernel_build_error_refines_schedule_error():
+    assert issubclass(errors.KernelBuildError, errors.ScheduleError)
+    assert errors.KernelBuildError("x", stderr="boom").stderr == "boom"
 
 
 def test_algorithm_lookup_refines_optimization_error():

@@ -1,8 +1,8 @@
 """Population-at-once batch kernel: exactness, reuse transparency.
 
 The batch kernel (``kernel_method="batch"``) evaluates a whole
-population with one composite sort and segmented scans, reusing
-per-machine queue states across generations.  Its contract has two
+population with compiled per-queue folds, reusing per-machine queue
+states across generations.  Its contract has two
 halves, and every test here pins one of them:
 
 * **Exactness** — results are bit-identical to the scalar oracle
@@ -11,12 +11,12 @@ halves, and every test here pins one of them:
   different summation association than the ``fast`` kernel, so it is
   pinned to its *own* oracle, not to ``fast``.)
 * **Reuse transparency** — caching only skips work, never changes
-  results: cache on/off/cleared, prefix-resume tier on/off, any batch
-  composition, serial or parallel, all bit-identical.
+  results: cache on/off/cleared, any batch composition, serial or
+  parallel, all bit-identical.
 
 Adversarial shapes (empty queues, single-task machines, duplicate
 priorities, degenerate and large populations, huge order keys) target
-the kernel's padding, segment bookkeeping, and hash fallbacks.
+the kernel's segment bookkeeping, queue ordering and hashing.
 """
 
 import numpy as np
@@ -31,11 +31,7 @@ from repro.experiments.datasets import DatasetBundle
 from repro.experiments.repetitions import run_repetitions
 from repro.experiments.runner import RetryPolicy, run_seeded_populations
 from repro.model.system import SystemModel
-from repro.sim.batchkernel import (
-    PREFIX_ANCHOR_STRIDE,
-    BatchQueueKernel,
-    batch_reference_row,
-)
+from repro.sim.batchkernel import batch_reference_row
 from repro.sim.evaluator import ScheduleEvaluator
 from repro.sim.makespan import MakespanEnergyEvaluator
 from repro.sim.schedule import ResourceAllocation
@@ -167,9 +163,9 @@ class TestOracleBitIdentity:
     def test_large_order_keys_use_hash_fallback(
         self, small_system, small_trace
     ):
-        """Order keys around 2^40 overflow the precomputed order-hash
-        table, taking the arithmetic-mix fallback; results must match
-        the oracle and the rank-equivalent small keys exactly."""
+        """Order keys around 2^40 (and negative ones) hash like any
+        other key; results must match the oracle and the
+        rank-equivalent small keys exactly."""
         ev = batch_ev(small_system, small_trace)
         assignments, orders = make_batch(small_system, small_trace, 8, 7)
         big = orders * np.int64(2**40) - np.int64(2**39)
@@ -178,6 +174,23 @@ class TestOracleBitIdentity:
         e_big, u_big = ev.evaluate_batch(assignments, big)
         np.testing.assert_array_equal(e_small, e_big)
         np.testing.assert_array_equal(u_small, u_big)
+
+    def test_fingerprints_do_not_depend_on_the_batch(
+        self, small_system, small_trace
+    ):
+        """A queue's fingerprint is a function of its content alone: a
+        row carrying one huge order key joining the batch must not turn
+        the other rows' unchanged queues into misses."""
+        ev = batch_ev(small_system, small_trace)
+        assignments, orders = make_batch(small_system, small_trace, 8, 14)
+        ev.evaluate_batch(assignments, orders)
+        queues = ev._batch_kernel.last_batch["queues"]
+        big = orders[:1].copy()
+        big[0, 0] = 2**40
+        grown_a = np.vstack([assignments, assignments[:1]])
+        grown_o = np.vstack([orders, big])
+        assert_matches_oracle(ev, grown_a, grown_o)
+        assert ev._batch_kernel.last_batch["queue_hits"] >= queues
 
     def test_tiny_system_hand_checkable(self, tiny_system, tiny_trace):
         ev = batch_ev(tiny_system, tiny_trace)
@@ -221,31 +234,6 @@ class TestReuseTransparency:
         assert stats["elements_reused"] == 0
         assert stats["reuse_rate"] == 0.0
 
-    def test_prefix_tier_bit_identical(self, small_system, small_trace):
-        """The prefix-resume tier (default off) only changes which
-        computations are skipped, never their results."""
-        plain = batch_ev(small_system, small_trace)
-        prefixed = batch_ev(small_system, small_trace,
-                            prefix_stride=PREFIX_ANCHOR_STRIDE)
-        assert prefixed._batch_kernel.prefix_stride == PREFIX_ANCHOR_STRIDE
-        for seed in range(5):
-            assignments, orders = make_batch(
-                small_system, small_trace, 25, seed % 3
-            )
-            e0, u0 = plain.evaluate_batch(assignments, orders)
-            e1, u1 = prefixed.evaluate_batch(assignments, orders)
-            np.testing.assert_array_equal(e0, e1)
-            np.testing.assert_array_equal(u0, u1)
-            eo, uo = oracle_batch(plain, assignments, orders)
-            np.testing.assert_array_equal(e0, eo)
-            np.testing.assert_array_equal(u0, uo)
-
-    def test_negative_prefix_stride_rejected(
-        self, small_system, small_trace
-    ):
-        with pytest.raises(ValueError):
-            batch_ev(small_system, small_trace, prefix_stride=-1)
-
     def test_stats_surface(self, small_system, small_trace):
         ev = batch_ev(small_system, small_trace)
         assignments, orders = make_batch(small_system, small_trace, 10, 11)
@@ -253,7 +241,7 @@ class TestReuseTransparency:
         ev.evaluate_batch(assignments, orders)
         stats = ev.cache_stats
         for key in ("hits", "misses", "entries", "elements_total",
-                    "elements_reused", "reuse_rate", "prefix_hits"):
+                    "elements_reused", "reuse_rate"):
             assert key in stats
         assert stats["hits"] > 0
         assert 0.0 < stats["reuse_rate"] <= 1.0
