@@ -40,7 +40,6 @@ from repro.core import (
     AlgorithmConfig,
     EpsilonArchiveNSGA2,
     EvolutionaryAlgorithm,
-    NSGA2Config,
     OperatorConfig,
     ParetoArchive,
     available_algorithms,
@@ -124,7 +123,6 @@ __all__ = [
     "AlgorithmConfig",
     "EvolutionaryAlgorithm",
     "NSGA2",
-    "NSGA2Config",
     "SPEA2",
     "MOEAD",
     "EpsilonArchiveNSGA2",

@@ -66,7 +66,11 @@ from repro.experiments.io import save_figure_result
 from repro.experiments.tables import render_table1, render_table2, render_table3
 from repro.heuristics import SEEDING_HEURISTICS
 from repro.model.serialization import save_system
-from repro.sim.evaluator import DEFAULT_KERNEL_METHOD, ScheduleEvaluator
+from repro.sim.evaluator import (
+    DEFAULT_KERNEL_METHOD,
+    KERNEL_METHODS,
+    ScheduleEvaluator,
+)
 
 __all__ = ["main"]
 
@@ -489,14 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _add_kernel_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("--kernel-method",
-                       choices=["fast", "reference", "batch",
-                                "batch-reference"],
+                       choices=KERNEL_METHODS,
                        default=DEFAULT_KERNEL_METHOD,
-                       help="evaluation kernel: the population-at-once "
-                       "'batch' kernel with queue-state reuse (default) "
-                       "and its scalar oracle 'batch-reference', or the "
-                       "per-row 'fast' kernel and its oracle 'reference' "
-                       "(see docs/performance.md)")
+                       help="evaluation kernel: the compiled "
+                       "population-at-once 'batch' kernel (default) or "
+                       "its scalar oracle 'batch-reference', which gives "
+                       "the same results without a C compiler (see "
+                       "docs/performance.md)")
 
     def _add_workers_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=0,

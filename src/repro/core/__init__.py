@@ -30,7 +30,7 @@ from repro.core.dominance import (
     pareto_filter,
 )
 from repro.core.moead import MOEAD
-from repro.core.nsga2 import NSGA2, EpsilonArchiveNSGA2, NSGA2Config
+from repro.core.nsga2 import NSGA2, EpsilonArchiveNSGA2
 from repro.core.objectives import BiObjectiveSpace, ObjectiveSense
 from repro.core.operators import OperatorConfig, VariationOperators
 from repro.core.population import Population
@@ -76,7 +76,6 @@ __all__ = [
     "AlgorithmConfig",
     "EvolutionaryAlgorithm",
     "NSGA2",
-    "NSGA2Config",
     "SPEA2",
     "spea2_fitness",
     "MOEAD",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.errors import ExperimentError
-from repro.sim.evaluator import DEFAULT_KERNEL_METHOD
+from repro.sim.evaluator import DEFAULT_KERNEL_METHOD, KERNEL_METHODS
 
 __all__ = ["ExperimentConfig", "scaled_checkpoints", "default_scale"]
 
@@ -87,12 +87,11 @@ class ExperimentConfig:
         A plain string so the choice travels to parallel pool workers
         inside pickled cell extras.
     kernel_method:
-        Evaluation kernel for the schedule evaluator (``"fast"``,
-        ``"reference"``, ``"batch"``, ``"batch-reference"``; see
-        :class:`repro.sim.evaluator.ScheduleEvaluator`).  Part of the
-        spec because batch modes differ from ``fast`` in the last
-        float bits (different summation association), which can steer
-        selection differently over many generations.
+        Evaluation kernel for the schedule evaluator, one of
+        :data:`repro.sim.evaluator.KERNEL_METHODS` (``"batch"`` default,
+        ``"batch-reference"``).  The two give bit-identical results; the
+        kernel is still part of the spec so a grid re-drive runs the
+        kernel it was started with.
     """
 
     population_size: int = 100
@@ -104,12 +103,10 @@ class ExperimentConfig:
     kernel_method: str = DEFAULT_KERNEL_METHOD
 
     def __post_init__(self) -> None:
-        if self.kernel_method not in (
-            "fast", "reference", "batch", "batch-reference"
-        ):
+        if self.kernel_method not in KERNEL_METHODS:
             raise ExperimentError(
-                "kernel_method must be one of 'fast', 'reference', "
-                f"'batch', 'batch-reference'; got {self.kernel_method!r}"
+                f"kernel_method must be one of {KERNEL_METHODS}; "
+                f"got {self.kernel_method!r}"
             )
         if self.population_size < 2:
             raise ExperimentError(
@@ -156,14 +153,13 @@ class ExperimentConfig:
             checkpoints=tuple(spec["checkpoints"]),
             base_seed=spec["base_seed"],
             algorithm=spec.get("algorithm", "nsga2"),
-            kernel_method=spec.get("kernel_method", "fast"),
+            kernel_method=spec.get("kernel_method", DEFAULT_KERNEL_METHOD),
         )
 
     def algorithm_config(self):
         """The engine-level config this experiment config implies.
 
-        Collapses the knobs previously duplicated between
-        ``NSGA2Config`` and driver kwargs into one
+        Collapses the engine knobs this config carries into one
         :class:`~repro.core.algorithm.AlgorithmConfig`.
         """
         from repro.core.algorithm import AlgorithmConfig

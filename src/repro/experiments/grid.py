@@ -55,6 +55,7 @@ from repro.parallel.resultstore import (
     dataset_fingerprint,
     grid_fingerprint,
 )
+from repro.sim.evaluator import DEFAULT_KERNEL_METHOD
 from repro.types import FloatArray
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -470,6 +471,7 @@ PortfolioResult`).
             transport=transport,
             retry=retry,
             algorithm=spec.get("algorithm", "nsga2"),
+            kernel_method=spec.get("kernel_method", DEFAULT_KERNEL_METHOD),
             grid_dir=grid_dir,
             obs=obs,
         )

@@ -80,7 +80,7 @@ class RepetitionResult:
 
 
 #: Per-worker memo of evaluators keyed by (dataset id, kernel method) —
-#: one evaluation cache per (worker, dataset, kernel), shared by every
+#: one queue-state table per (worker, dataset, kernel), shared by every
 #: repetition cell the worker executes.  Cache hits are bit-identical
 #: to fresh evaluations, so sharing never perturbs results.
 _CELL_EVALUATORS: dict[str, ScheduleEvaluator] = {}
@@ -101,7 +101,7 @@ def _repetition_cell(restored, extra: dict, r: int, attempt: int, payload) -> Fl
     fault_hook = extra.get("fault_hook")
     if fault_hook is not None:
         fault_hook(r, attempt)
-    kernel_method = extra.get("kernel_method", "fast")
+    kernel_method = extra["kernel_method"]
     memo_key = f"{restored.handle.dataset_id}:{kernel_method}"
     evaluator = _CELL_EVALUATORS.get(memo_key)
     if evaluator is None:
@@ -186,10 +186,8 @@ def run_repetitions(
         picklable (registry names always are).
     kernel_method:
         Evaluation kernel threaded into every repetition's evaluator
-        (``"fast"``, ``"reference"``, ``"batch"``,
-        ``"batch-reference"``; see
-        :class:`~repro.sim.evaluator.ScheduleEvaluator`).  Part of the
-        grid spec: changing it invalidates cached cells.
+        (one of :data:`~repro.sim.evaluator.KERNEL_METHODS`).  Part of
+        the grid spec: changing it invalidates cached cells.
     grid_dir:
         Directory for the durable grid manifest + result store (see
         :mod:`repro.experiments.grid`).  Every repetition's lifecycle

@@ -103,9 +103,9 @@ def reproduce_all(
         Registered optimizer name driving every figure run (default
         ``"nsga2"``; see :func:`repro.core.registry.available_algorithms`).
     kernel_method:
-        Evaluation kernel for every figure run (``"fast"`` default;
-        ``"batch"`` enables the population-at-once kernel with
-        queue-state reuse — see ``docs/performance.md``).
+        Evaluation kernel for every figure run: ``"batch"`` (default,
+        the compiled population-at-once kernel) or its scalar oracle
+        ``"batch-reference"`` — see ``docs/performance.md``.
     progress:
         Callable receiving status lines (``None`` silences).
     obs:

@@ -10,7 +10,9 @@ that uncertainty.  This module answers it by Monte-Carlo:
   quality; power is unchanged, so actual energy = ``EPC × actual
   time``, scaling with the same ξ);
 * each noise sample re-simulates the allocation's queues (the
-  recurrence is re-run, so delays *cascade* — the interesting part);
+  recurrence is re-run, so delays *cascade* — the interesting part)
+  with the evaluator's fold order: per-queue left folds in ascending
+  ``(order key, task)`` order, combined over ascending machine;
 * :class:`RobustnessReport` summarizes the induced (energy, utility)
   distributions and the probability of staying within a tolerance of
   the nominal utility.
@@ -30,10 +32,9 @@ from repro.core.nsga2 import GenerationSnapshot
 from repro.errors import ScheduleError
 from repro.model.system import SystemModel
 from repro.rng import SeedLike, ensure_rng
-from repro.sim.evaluator import _segmented_finish_times
+from repro.sim.evaluator import ScheduleEvaluator
 from repro.sim.schedule import ResourceAllocation
-from repro.types import FloatArray
-from repro.utility.vectorized import TUFTable
+from repro.types import FloatArray, IntArray
 from repro.workload.trace import Trace
 
 __all__ = ["NoiseModel", "RobustnessReport", "RobustnessAnalyzer", "front_robustness"]
@@ -127,19 +128,26 @@ class RobustnessAnalyzer:
         self.samples = samples
         self.tolerance = tolerance
         self._rng = ensure_rng(seed)
+        # The oracle kernel: the nominal point needs one row, and it
+        # needs no compiler.
+        self._evaluator = ScheduleEvaluator(
+            system, trace, check_feasibility=False,
+            kernel_method="batch-reference",
+        )
         self._task_types = trace.task_types
         self._arrivals = trace.arrival_times
         self._etc_rows = system.etc_task_machine[self._task_types]
         self._epc_rows = system.epc_task_machine[self._task_types]
-        self._tuf = TUFTable.from_system(system)
+        self._tuf = self._evaluator.tuf_table
         self._row_index = np.arange(trace.num_tasks)
 
     def analyze(self, allocation: ResourceAllocation) -> RobustnessReport:
         """Monte-Carlo report for one allocation.
 
-        All noise draws are evaluated in a single segmented pass: the S
-        samples are laid out like S chromosomes sharing the allocation
-        but with perturbed execution times.
+        The nominal point comes from
+        :meth:`~repro.sim.evaluator.ScheduleEvaluator.evaluate`.  All
+        noise draws share one pass per machine queue: the S samples'
+        perturbed execution times form an ``(S, L)`` block per queue.
         """
         if allocation.num_tasks != self.trace.num_tasks:
             raise ScheduleError(
@@ -153,38 +161,27 @@ class RobustnessAnalyzer:
         power = self._epc_rows[self._row_index, assignment]
         if not np.all(np.isfinite(base_exec)):
             raise ScheduleError("allocation places tasks on infeasible machines")
+        nominal = self._evaluator.evaluate(allocation)
 
-        # Nominal (noise-free) evaluation.
-        nominal_finish = _segmented_finish_times(
-            assignment, allocation.scheduling_order, self._arrivals, base_exec
-        )
-        nominal_utility = float(
-            self._tuf.evaluate(self._task_types, nominal_finish - self._arrivals).sum()
-        )
-        nominal_energy = float((base_exec * power).sum())
-
-        # S perturbed evaluations in one pass.
-        factors = self.noise.sample((S, T), self._rng)
-        exec_times = (base_exec[None, :] * factors).ravel()
-        group = (
-            np.tile(assignment, S)
-            + np.repeat(np.arange(S, dtype=np.int64), T) * self.system.num_machines
-        )
-        orders = np.tile(allocation.scheduling_order, S)
-        arrivals = np.tile(self._arrivals, S)
-        finish = _segmented_finish_times(group, orders, arrivals, exec_times)
-        elapsed = finish - arrivals
-        utilities = self._tuf.evaluate(
-            np.tile(self._task_types, S), elapsed
-        ).reshape(S, T).sum(axis=1)
-        energies = (exec_times * np.tile(power, S)).reshape(S, T).sum(axis=1)
+        queues = _queues(assignment, allocation.scheduling_order)
+        exec_times = base_exec[None, :] * self.noise.sample((S, T), self._rng)
+        finish = _fold_finish_times(queues, self._arrivals, exec_times)
+        task_utilities = self._tuf.evaluate(
+            np.tile(self._task_types, S), (finish - self._arrivals).ravel()
+        ).reshape(S, T)
+        task_energies = exec_times * power
+        utilities = np.zeros(S)
+        energies = np.zeros(S)
+        for tasks in queues:
+            utilities += np.cumsum(task_utilities[:, tasks], axis=1)[:, -1]
+            energies += np.cumsum(task_energies[:, tasks], axis=1)[:, -1]
 
         within = np.mean(
-            utilities >= (1.0 - self.tolerance) * nominal_utility
+            utilities >= (1.0 - self.tolerance) * nominal.utility
         )
         return RobustnessReport(
-            nominal_energy=nominal_energy,
-            nominal_utility=nominal_utility,
+            nominal_energy=nominal.energy,
+            nominal_utility=nominal.utility,
             mean_energy=float(energies.mean()),
             std_energy=float(energies.std()),
             mean_utility=float(utilities.mean()),
@@ -194,6 +191,36 @@ class RobustnessAnalyzer:
             prob_within_tolerance=float(within),
             samples=S,
         )
+
+
+def _queues(assignment: IntArray, order: IntArray) -> list[IntArray]:
+    """Each machine's tasks in ascending ``(order key, task)`` order,
+    listed by ascending machine."""
+    queues = []
+    for machine in np.unique(assignment):
+        tasks = np.flatnonzero(assignment == machine)
+        queues.append(tasks[np.argsort(order[tasks], kind="stable")])
+    return queues
+
+
+def _fold_finish_times(
+    queues: list[IntArray], arrivals: FloatArray, exec_times: FloatArray
+) -> FloatArray:
+    """``(S, T)`` finish times of S execution-time samples.
+
+    Per queue, ``f_j = max_{i <= j}(a_i - cs_{i-1}) + cs_j`` with ``cs``
+    the left-fold prefix sums of the queue's execution times — the
+    recurrence of :func:`~repro.sim.batchkernel.batch_reference_row`,
+    vectorized over the samples.
+    """
+    finish = np.empty_like(exec_times)
+    for tasks in queues:
+        cs = np.cumsum(exec_times[:, tasks], axis=1)
+        cs_prev = np.zeros_like(cs)
+        cs_prev[:, 1:] = cs[:, :-1]
+        runmax = np.maximum.accumulate(arrivals[tasks] - cs_prev, axis=1)
+        finish[:, tasks] = runmax + cs
+    return finish
 
 
 def front_robustness(

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from repro.core.registry import available_algorithms
 from repro.service.dispatch import DispatchService, ServiceConfig, ServiceResult
 from repro.service.stream import ArrivalStream, windows_from_trace
-from repro.sim.evaluator import DEFAULT_KERNEL_METHOD
+from repro.sim.evaluator import DEFAULT_KERNEL_METHOD, KERNEL_METHODS
 
 __all__ = ["main", "build_parser", "result_payload"]
 
@@ -63,10 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="nsga2",
                    help="per-window optimizer (default: nsga2)")
     p.add_argument("--kernel-method",
-                   choices=["fast", "reference", "batch", "batch-reference"],
+                   choices=KERNEL_METHODS,
                    default=DEFAULT_KERNEL_METHOD,
-                   help="evaluation kernel; only 'batch' supports "
-                   "cross-window queue-state reuse (default)")
+                   help="evaluation kernel: 'batch' (default, compiled, "
+                   "reuses queue states across windows) or its scalar "
+                   "oracle 'batch-reference' (same results, no C "
+                   "compiler)")
     p.add_argument("--cold", action="store_true",
                    help="disable warm starts (fresh random population "
                    "every window) — the cold-restart baseline")

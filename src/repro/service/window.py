@@ -40,7 +40,11 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.sim.evaluator import DEFAULT_CACHE_SIZE, ScheduleEvaluator
+from repro.sim.evaluator import (
+    DEFAULT_CACHE_SIZE,
+    DEFAULT_KERNEL_METHOD,
+    ScheduleEvaluator,
+)
 from repro.sim.schedule import ResourceAllocation
 from repro.types import FloatArray, IntArray
 from repro.workload.trace import Trace
@@ -249,7 +253,7 @@ class WindowEvaluator:
         system: "SystemModel",
         ledger: CommittedLedger,
         batch: "WindowBatch",
-        kernel_method: str = "batch",
+        kernel_method: str = DEFAULT_KERNEL_METHOD,
         cache_size: int = DEFAULT_CACHE_SIZE,
         obs: Optional["RunContext"] = None,
         reuse_from: Optional["WindowEvaluator"] = None,
@@ -298,9 +302,6 @@ class WindowEvaluator:
         )
         self.num_tasks = batch.count
         self.num_machines = system.num_machines
-        #: Batch-mode contract: no chromosome cache (mirrors
-        #: ScheduleEvaluator's behaviour so callers can introspect).
-        self.cache = None
 
     # -- GA-facing evaluator surface ---------------------------------------
 

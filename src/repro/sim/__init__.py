@@ -5,15 +5,16 @@ assignment + global scheduling order), this package computes the two
 objective values of the paper — total utility earned ``U`` (Eq. 1) and
 total energy consumed ``E`` (Eq. 3) — plus auxiliary schedule metrics.
 
-Two implementations with identical semantics:
+Two implementations of the same queueing semantics:
 
-* :mod:`repro.sim.evaluator` — the fast path.  The per-machine queue
-  recurrence ``f_i = max(f_{i-1}, a_i) + e_i`` is solved in closed form
-  with segmented cumulative sums and a segmented running maximum, so
-  evaluating a chromosome is pure vectorized NumPy (no Python loop
-  over tasks), and whole populations evaluate in one shot.
-* :mod:`repro.sim.events` — a plain sequential reference simulator
-  used to validate the fast path (property-tested to bit-equality).
+* :mod:`repro.sim.evaluator` — the evaluator.  The per-machine queue
+  recurrence ``f_i = max(f_{i-1}, a_i) + e_i`` is folded per queue,
+  whole populations at once, by the compiled batch kernel
+  (:mod:`repro.sim.batchkernel`), whose scalar oracle
+  ``batch_reference_row`` defines the exact fold order.
+* :mod:`repro.sim.events` — a plain sequential event simulator used to
+  validate the evaluator (property-tested to agree within float
+  rounding).
 """
 
 from repro.sim.evaluator import EvaluationResult, ScheduleEvaluator

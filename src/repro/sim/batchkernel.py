@@ -1,14 +1,10 @@
 """Population-at-once evaluation kernel with queue-state reuse caching.
 
 The generational hot loop evaluates a ``(N, T)`` population tensor per
-step.  The ``fast``/``reference`` kernels in
-:mod:`repro.sim.evaluator` recompute every machine queue of every
-chromosome from scratch, and the chromosome-level cache in front of
-them only helps when an *entire* row recurs (~8% after crossover).
-This module reuses work at the granularity where the GA actually
-repeats itself: the per-machine queue — crossover offspring keep most
-parental queues intact even though almost no offspring row equals a
-parent row.
+step.  This module reuses work at the granularity where the GA
+actually repeats itself: the per-machine queue — crossover offspring
+keep most parental queues intact even though almost no offspring row
+equals a parent row.
 
 Semantics
 ---------
@@ -28,10 +24,9 @@ results are bit-identical with the cache on, off, across checkpoint
 resume, and across serial/parallel execution.
 :func:`batch_reference_row` restates the same folds as scalar Python
 loops and is the exactness oracle for this kernel
-(``kernel_method="batch-reference"``).  The folds differ in the last
-float bits from the ``fast``/``reference`` kernels (different but
-equally valid summation associations); batch modes are pinned to *this*
-oracle, not to those kernels.
+(``kernel_method="batch-reference"``).  These folds are the
+repository's one evaluation semantics: every objective value, golden
+front and checkpoint is defined by them.
 
 Implementation
 --------------
@@ -169,28 +164,27 @@ class BatchQueueKernel:
 
     Parameters
     ----------
-    use_cache:
-        ``False`` disables reuse (the ``cache_size=0`` configuration):
-        every queue is recomputed each call.  Results are bit-identical
-        either way.
-    queue_slots_log2:
-        log₂ table size; the table clears itself at half load.
+    cache_size:
+        Entry budget of the queue-state table.  The table clears itself
+        at half load, so it gets the smallest power-of-two slot count of
+        at least twice the budget (16 to 2²⁸ slots).  ``0`` disables
+        reuse: every queue is recomputed each call.  Results are
+        bit-identical whatever the size.
     """
 
-    def __init__(
-        self,
-        ev,
-        use_cache: bool = True,
-        queue_slots_log2: int = 18,
-    ) -> None:
+    def __init__(self, ev, cache_size: int) -> None:
+        if cache_size < 0:
+            raise ScheduleError(f"cache_size must be >= 0, got {cache_size}")
         self._lib = _native.load_library()
         self.ev = ev
-        self.use_cache = bool(use_cache)
+        self.use_cache = cache_size > 0
         self.M = int(ev.num_machines)
         self.T = int(ev.num_tasks)
         self.Mq = int(ev._num_queues)
         self.qg = np.ascontiguousarray(ev._queue_groups, dtype=np.int64)
-        self.queue_table = QueueStateTable(queue_slots_log2)
+        self.queue_table = QueueStateTable(
+            min(28, max(4, (2 * cache_size - 1).bit_length()))
+        )
         # Per-symbol hash words: symbol = task_index * M + machine
         # (machines sharing a DVFS queue still hash apart — their ETC
         # columns differ).

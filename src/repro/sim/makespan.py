@@ -26,11 +26,7 @@ import numpy as np
 
 from repro.errors import ScheduleError
 from repro.model.system import SystemModel
-from repro.sim.evaluator import (
-    DEFAULT_CACHE_SIZE,
-    DEFAULT_KERNEL_METHOD,
-    _segmented_finish_times,
-)
+from repro.sim.evaluator import DEFAULT_CACHE_SIZE
 from repro.sim.schedule import ResourceAllocation
 from repro.types import FloatArray, IntArray
 from repro.workload.trace import Trace
@@ -67,20 +63,13 @@ class MakespanEnergyEvaluator:
         trace: Trace,
         bag_of_tasks: bool = True,
         check_feasibility: bool = False,
-        kernel_method: str = DEFAULT_KERNEL_METHOD,
         cache_size: int = DEFAULT_CACHE_SIZE,
     ) -> None:
         trace.validate_against(system.num_task_types)
-        if kernel_method not in ("fast", "batch"):
-            raise ScheduleError(
-                "MakespanEnergyEvaluator kernel_method must be 'fast' or "
-                f"'batch'; got {kernel_method!r}"
-            )
         self.system = system
         self.trace = trace
         self.bag_of_tasks = bag_of_tasks
         self.check_feasibility = check_feasibility
-        self.kernel_method = kernel_method
         self.num_tasks = trace.num_tasks
         self.num_machines = system.num_machines
         self._task_types = trace.task_types
@@ -93,27 +82,17 @@ class MakespanEnergyEvaluator:
         self._eec_rows = system.eec_task_machine[self._task_types]
         self._feasible_rows = system.feasible_task_machine[self._task_types]
         self._row_index = np.arange(self.num_tasks)
-        self._batch_kernel = None
-        if kernel_method == "batch":
-            from repro.sim.batchkernel import BatchQueueKernel
+        # Duck-typed kernel bindings (it reads these attributes);
+        # makespan uses per-row maxima of the cached final-finish
+        # values, and energy comes from the same queue folds.
+        self._etc_flat = np.ascontiguousarray(self._etc_rows).reshape(-1)
+        self._eec_flat = np.ascontiguousarray(self._eec_rows).reshape(-1)
+        self._tuf_table = _ZeroUtility()
+        self._queue_groups = np.arange(self.num_machines, dtype=np.int64)
+        self._num_queues = self.num_machines
+        from repro.sim.batchkernel import BatchQueueKernel
 
-            # Duck-typed kernel bindings (it reads these attributes);
-            # makespan uses per-row maxima of the cached final-finish
-            # values, and energy comes from the same queue folds.
-            self._etc_flat = np.ascontiguousarray(self._etc_rows).reshape(-1)
-            self._eec_flat = np.ascontiguousarray(self._eec_rows).reshape(-1)
-            self._tuf_table = _ZeroUtility()
-            self._queue_groups = np.arange(self.num_machines, dtype=np.int64)
-            self._num_queues = self.num_machines
-            slots_log2 = (
-                max(8, (2 * cache_size - 1).bit_length())
-                if cache_size else 8
-            )
-            self._batch_kernel = BatchQueueKernel(
-                self,
-                use_cache=cache_size > 0,
-                queue_slots_log2=min(28, slots_log2),
-            )
+        self._batch_kernel = BatchQueueKernel(self, cache_size=cache_size)
 
     # -- engine interface ---------------------------------------------------
 
@@ -141,25 +120,10 @@ class MakespanEnergyEvaluator:
             ]
             if not np.all(ok):
                 raise ScheduleError("batch contains infeasible placements")
-        if self._batch_kernel is not None:
-            energies, _, finish = (
-                self._batch_kernel.evaluate_population_with_finish(
-                    assignments, orders
-                )
-            )
-            return energies, -finish
-        flat_assign = assignments.ravel()
-        flat_rows = np.tile(self._row_index, N)
-        exec_times = self._etc_rows[flat_rows, flat_assign]
-        arrivals = np.tile(self._arrivals, N)
-        chrom_offset = np.repeat(
-            np.arange(N, dtype=np.int64) * self.num_machines, T
+        energies, _, finish = self._batch_kernel.evaluate_population_with_finish(
+            assignments, orders
         )
-        finish = _segmented_finish_times(
-            flat_assign + chrom_offset, orders.ravel(), arrivals, exec_times
-        ).reshape(N, T)
-        energies = self._eec_rows[flat_rows, flat_assign].reshape(N, T)
-        return energies.sum(axis=1), -finish.max(axis=1)
+        return energies, -finish
 
     # -- scalar helpers -------------------------------------------------------
 

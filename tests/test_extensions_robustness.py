@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.errors import ScheduleError
 from repro.extensions.robustness import (
     NoiseModel,
     RobustnessAnalyzer,
+    _fold_finish_times,
+    _queues,
     front_robustness,
 )
 from repro.heuristics import MinMinCompletionTime
+from repro.sim.batchkernel import batch_reference_row
 
 from conftest import random_allocation
 
@@ -51,8 +55,37 @@ class TestAnalyzer:
         alloc = random_allocation(small_system, small_trace, seed=5)
         report = analyzer.analyze(alloc)
         res = small_evaluator.evaluate(alloc)
-        assert report.nominal_energy == pytest.approx(res.energy)
-        assert report.nominal_utility == pytest.approx(res.utility)
+        assert report.nominal_energy == res.energy
+        assert report.nominal_utility == res.utility
+
+    def test_zero_noise_samples_fold_like_the_oracle(
+        self, small_system, small_trace, small_evaluator
+    ):
+        """With sigma=0 every sample's finish times equal
+        ``batch_reference_row``'s bit for bit, and each sample's totals
+        equal the nominal point exactly: one fold order throughout."""
+        alloc = random_allocation(small_system, small_trace, seed=8)
+        assignment = alloc.machine_assignment
+        _, _, expected = batch_reference_row(
+            small_evaluator, assignment, alloc.scheduling_order
+        )
+        exec_times = np.tile(
+            small_evaluator._etc_rows[np.arange(small_trace.num_tasks),
+                                      assignment],
+            (3, 1),
+        )
+        finish = _fold_finish_times(
+            _queues(assignment, alloc.scheduling_order),
+            small_trace.arrival_times, exec_times,
+        )
+        for row in finish:
+            np.testing.assert_array_equal(row, expected)
+        report = RobustnessAnalyzer(
+            small_system, small_trace, noise=NoiseModel(sigma=0.0),
+            samples=1, seed=9,
+        ).analyze(alloc)
+        assert report.mean_utility == report.nominal_utility
+        assert report.mean_energy == report.nominal_energy
 
     def test_noise_spreads_outcomes(self, small_system, small_trace):
         analyzer = RobustnessAnalyzer(
@@ -103,7 +136,7 @@ class TestAnalyzer:
 class TestFrontRobustness:
     def test_reports_per_front_point(self, small_system, small_trace,
                                      small_evaluator):
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=16), rng=10)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=16), rng=10)
         hist = ga.run(10)
         analyzer = RobustnessAnalyzer(small_system, small_trace, samples=20,
                                       seed=11)
@@ -114,7 +147,7 @@ class TestFrontRobustness:
 
     def test_requires_solutions(self, small_system, small_trace,
                                 small_evaluator):
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=16), rng=12)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=16), rng=12)
         hist = ga.run(4, checkpoints=[2, 4])
         analyzer = RobustnessAnalyzer(small_system, small_trace, samples=5)
         with pytest.raises(ScheduleError):

@@ -7,9 +7,7 @@ halves, and every test here pins one of them:
 
 * **Exactness** — results are bit-identical to the scalar oracle
   :func:`~repro.sim.batchkernel.batch_reference_row`, which computes
-  every queue with plain Python left folds.  (The batch kernel uses a
-  different summation association than the ``fast`` kernel, so it is
-  pinned to its *own* oracle, not to ``fast``.)
+  every queue with plain Python left folds.
 * **Reuse transparency** — caching only skips work, never changes
   results: cache on/off/cleared, any batch composition, serial or
   parallel, all bit-identical.
@@ -25,7 +23,7 @@ import pytest
 from repro.core.algorithm import AlgorithmConfig
 from repro.core.operators import FeasibleMachines
 from repro.core.registry import available_algorithms, make_algorithm
-from repro.errors import ScheduleError
+from repro.errors import ExperimentError, ScheduleError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.datasets import DatasetBundle
 from repro.experiments.repetitions import run_repetitions
@@ -259,11 +257,11 @@ class TestEvaluatorIntegration:
     def test_batch_reference_mode_matches_batch(
         self, small_system, small_trace
     ):
-        fast = batch_ev(small_system, small_trace)
+        batch = batch_ev(small_system, small_trace)
         ref = batch_ev(small_system, small_trace,
                        kernel_method="batch-reference")
         assignments, orders = make_batch(small_system, small_trace, 15, 12)
-        e0, u0 = fast.evaluate_batch(assignments, orders)
+        e0, u0 = batch.evaluate_batch(assignments, orders)
         e1, u1 = ref.evaluate_batch(assignments, orders)
         np.testing.assert_array_equal(e0, e1)
         np.testing.assert_array_equal(u0, u1)
@@ -288,18 +286,6 @@ class TestEvaluatorIntegration:
         with pytest.raises(ScheduleError, match="kernel_method"):
             ScheduleEvaluator(small_system, small_trace,
                               kernel_method="vectorized")
-
-    def test_chromosome_cache_bypassed_in_batch_mode(
-        self, small_system, small_trace
-    ):
-        ev = batch_ev(small_system, small_trace)
-        assert ev.cache is None  # queue-state tables replace it
-        assert ev._batch_kernel is not None
-        fast = ScheduleEvaluator(small_system, small_trace,
-                                 check_feasibility=False,
-                                 kernel_method="fast")
-        assert fast.cache is not None
-        assert fast._batch_kernel is None
 
 
 # -- all algorithms share the batch path --------------------------------------
@@ -370,44 +356,18 @@ class TestParallelAndResume:
 
 
 class TestMakespanBatchKernel:
-    @pytest.mark.parametrize("bag_of_tasks", [True, False])
-    def test_batch_matches_fast(self, small_system, small_trace,
-                                bag_of_tasks):
-        """The two kernels agree to float association: the batch
-        kernel's finish recurrence and per-queue energy folds associate
-        differently than the fast kernel's segmented scans, so low-bit
-        drift is expected — exactness is pinned against the scalar
-        oracle below, not against ``fast``."""
-        fast = MakespanEnergyEvaluator(small_system, small_trace,
-                                       bag_of_tasks=bag_of_tasks)
-        batch = MakespanEnergyEvaluator(small_system, small_trace,
-                                        bag_of_tasks=bag_of_tasks,
-                                        kernel_method="batch")
-        for seed in (20, 21):
-            assignments, orders = make_batch(
-                small_system, small_trace, 25, seed
-            )
-            e0, m0 = fast.evaluate_batch(assignments, orders)
-            e1, m1 = batch.evaluate_batch(assignments, orders)
-            np.testing.assert_allclose(m0, m1, rtol=1e-12)
-            np.testing.assert_allclose(e0, e1, rtol=1e-12)
-
     def test_batch_matches_oracle_makespan(self, small_system, small_trace):
-        batch = MakespanEnergyEvaluator(small_system, small_trace,
-                                        kernel_method="batch")
         assignments, orders = make_batch(small_system, small_trace, 6, 22)
-        energies, neg_makespans = batch.evaluate_batch(assignments, orders)
-        for i in range(6):
-            energy, _, finish = batch_reference_row(
-                batch, assignments[i], orders[i]
-            )
-            assert energies[i] == energy
-            assert -neg_makespans[i] == finish.max()
-
-    def test_invalid_kernel_rejected(self, small_system, small_trace):
-        with pytest.raises(ScheduleError, match="kernel_method"):
-            MakespanEnergyEvaluator(small_system, small_trace,
-                                    kernel_method="reference")
+        for bag_of_tasks in (True, False):
+            batch = MakespanEnergyEvaluator(small_system, small_trace,
+                                            bag_of_tasks=bag_of_tasks)
+            energies, neg_makespans = batch.evaluate_batch(assignments, orders)
+            for i in range(6):
+                energy, _, finish = batch_reference_row(
+                    batch, assignments[i], orders[i]
+                )
+                assert energies[i] == energy
+                assert -neg_makespans[i] == finish.max()
 
 
 # -- experiment config plumbing -----------------------------------------------
@@ -421,14 +381,23 @@ class TestConfigPlumbing:
         assert spec["kernel_method"] == "batch"
         assert ExperimentConfig.from_spec(spec).kernel_method == "batch"
 
-    def test_legacy_spec_defaults_to_fast(self):
+    def test_legacy_spec_defaults_to_batch(self):
         cfg = ExperimentConfig(population_size=10, generations=4,
-                               checkpoints=(4,))
+                               checkpoints=(4,),
+                               kernel_method="batch-reference")
         spec = cfg.to_spec()
         del spec["kernel_method"]
-        assert ExperimentConfig.from_spec(spec).kernel_method == "fast"
+        assert ExperimentConfig.from_spec(spec).kernel_method == "batch"
 
     def test_invalid_kernel_method_rejected(self):
-        with pytest.raises(Exception, match="kernel_method"):
-            ExperimentConfig(population_size=10, generations=4,
-                             checkpoints=(4,), kernel_method="turbo")
+        # Unknown and retired kernel names fail loudly, naming the
+        # valid ones — an old grid spec is never silently re-driven.
+        for name in ("turbo", "fast", "reference"):
+            with pytest.raises(ExperimentError, match="batch-reference"):
+                ExperimentConfig(population_size=10, generations=4,
+                                 checkpoints=(4,), kernel_method=name)
+            spec = ExperimentConfig(population_size=10, generations=4,
+                                    checkpoints=(4,)).to_spec()
+            spec["kernel_method"] = name
+            with pytest.raises(ExperimentError, match="batch-reference"):
+                ExperimentConfig.from_spec(spec)

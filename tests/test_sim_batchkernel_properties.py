@@ -102,7 +102,8 @@ def assert_matches_oracle(ev, kernel, assignments, orders, want_finish):
 @given(ev=evaluators(), data=st.data())
 def test_kernel_matches_oracle_under_interleaved_operations(ev, data):
     def fresh(use_cache):
-        return BatchQueueKernel(ev, use_cache=use_cache, queue_slots_log2=4)
+        # An 8-entry budget gives the smallest table: 16 slots.
+        return BatchQueueKernel(ev, cache_size=8 if use_cache else 0)
 
     cached, uncached = fresh(True), fresh(False)
     pool: list = []

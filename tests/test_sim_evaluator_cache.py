@@ -1,31 +1,28 @@
-"""Evaluation cache, batch-composition independence, and kernel exactness.
+"""Queue-state cache transparency and kernel exactness at the evaluator.
 
 The cache contract is that caching is invisible: any sequence of
 ``evaluate_batch`` calls returns bit-identical objectives with the
-cache on, off, or pre-warmed, in any batch composition.  That only
-holds because the segmented kernel is *exact* — each row's finish
-times depend on that row alone (row-local cumulative sums) and the
-segmented running maximum is the true maximum, never an
-offset-approximation.  These tests pin down both halves, including a
-pure-Python bitwise mirror of the kernel at extreme magnitudes where
-the retired offset trick loses bits.
+batch kernel's queue-state table on, off, cleared, full, or pre-warmed,
+in any batch composition.  That holds because every fold is a function
+of one queue's ordered content alone (see :mod:`repro.sim.batchkernel`).
+Exactness is pinned against the scalar oracle
+:func:`~repro.sim.batchkernel.batch_reference_row`, including at
+magnitudes where any reassociation of the folds would lose low bits,
+and the robustness extension's vectorized per-queue fold (the other
+place the recurrence runs) against a scalar mirror.
 """
-
-import math
 
 import numpy as np
 import pytest
 
 from repro.core.operators import FeasibleMachines
 from repro.errors import ScheduleError
-from repro.sim.evaluator import (
-    EvaluationCache,
-    ScheduleEvaluator,
-    _segmented_finish_times,
-    _segmented_finish_times_reference,
-    _KernelScratch,
-)
+from repro.extensions.robustness import _fold_finish_times, _queues
+from repro.sim.batchkernel import batch_reference_row
+from repro.sim.evaluator import KERNEL_METHODS, ScheduleEvaluator
+from repro.sim.events import simulate_reference
 from repro.sim.schedule import ResourceAllocation
+from repro.workload.trace import Trace
 
 
 def make_batch(system, trace, n_rows, seed):
@@ -41,11 +38,15 @@ def make_batch(system, trace, n_rows, seed):
 
 def make_evaluator(system, trace, **kwargs):
     kwargs.setdefault("check_feasibility", False)
-    # This suite exercises the *chromosome* cache, which only exists on
-    # the per-row kernels (batch mode replaces it with the kernel's
-    # queue-state tables — see tests/test_sim_batchkernel.py).
-    kwargs.setdefault("kernel_method", "fast")
     return ScheduleEvaluator(system, trace, **kwargs)
+
+
+def assert_matches_oracle(ev, assignments, orders):
+    energies, utilities = ev.evaluate_batch(assignments, orders)
+    for i in range(assignments.shape[0]):
+        energy, utility, _ = batch_reference_row(ev, assignments[i], orders[i])
+        assert energies[i] == energy
+        assert utilities[i] == utility
 
 
 # -- cache transparency -------------------------------------------------------
@@ -60,11 +61,13 @@ class TestCacheTransparency:
         e1, u1 = warm.evaluate_batch(assignments, orders)
         np.testing.assert_array_equal(e0, e1)
         np.testing.assert_array_equal(u0, u1)
-        # Second pass: all hits, still bit-identical.
+        # Second pass: every queue hits, still bit-identical.
         e2, u2 = warm.evaluate_batch(assignments, orders)
         np.testing.assert_array_equal(e0, e2)
         np.testing.assert_array_equal(u0, u2)
-        assert warm.cache_stats["hits"] == 40
+        batch = warm._batch_kernel.last_batch
+        assert batch["queue_misses"] == 0
+        assert batch["queue_hits"] == batch["queues"]
 
     def test_repeated_rows_within_a_batch(self, small_system, small_trace):
         assignments, orders = make_batch(small_system, small_trace, 6, 1)
@@ -77,22 +80,24 @@ class TestCacheTransparency:
         np.testing.assert_array_equal(u0, u1)
 
     def test_partial_hit_batch(self, small_system, small_trace):
-        """A batch mixing cached and new rows must equal a cold pass."""
+        """A batch mixing cached and new queues must equal a cold pass."""
         assignments, orders = make_batch(small_system, small_trace, 30, 2)
         warm = make_evaluator(small_system, small_trace)
         warm.evaluate_batch(assignments[:17], orders[:17])  # pre-warm a prefix
+        warmed = warm._batch_kernel.last_batch["queues"]
         cold = make_evaluator(small_system, small_trace, cache_size=0)
         e0, u0 = cold.evaluate_batch(assignments, orders)
         e1, u1 = warm.evaluate_batch(assignments, orders)
         np.testing.assert_array_equal(e0, e1)
         np.testing.assert_array_equal(u0, u1)
-        stats = warm.cache_stats
-        assert stats["hits"] == 17 and stats["misses"] == 30
+        batch = warm._batch_kernel.last_batch
+        assert batch["queue_hits"] >= warmed
+        assert batch["queue_misses"] > 0
 
     def test_batch_composition_independence(self, small_system, small_trace):
         """Row-by-row evaluation equals one full batch, bit for bit —
         the property that makes cache hits indistinguishable from
-        fresh kernel runs under any interleaving."""
+        fresh folds under any interleaving."""
         assignments, orders = make_batch(small_system, small_trace, 25, 3)
         ev = make_evaluator(small_system, small_trace, cache_size=0)
         e_full, u_full = ev.evaluate_batch(assignments, orders)
@@ -118,9 +123,9 @@ class TestCacheTransparency:
             assert result.utility == u_b[i]
 
     def test_large_order_keys_use_int64_digest(self, small_system, small_trace):
-        """Order keys beyond int32 take the fallback digest path; results
-        stay identical to the uncached kernel (ordering is unchanged
-        by the constant shift)."""
+        """Order keys beyond int32 still fingerprint and fold correctly:
+        results stay identical to the uncached kernel (ordering is
+        unchanged by the constant shift), cold and warm."""
         assignments, orders = make_batch(small_system, small_trace, 10, 5)
         big_orders = orders + 2**40
         cold = make_evaluator(small_system, small_trace, cache_size=0)
@@ -134,8 +139,8 @@ class TestCacheTransparency:
         np.testing.assert_array_equal(u0, u2)
 
     def test_workspace_growth_across_batch_sizes(self, small_system, small_trace):
-        """Grow-only scratch/workspace buffers serve shrinking and
-        growing batches without contaminating results."""
+        """Grow-only kernel scratch serves shrinking and growing batches
+        without contaminating results."""
         assignments, orders = make_batch(small_system, small_trace, 32, 6)
         ev = make_evaluator(small_system, small_trace, cache_size=0)
         fresh = make_evaluator(small_system, small_trace, cache_size=0)
@@ -150,228 +155,203 @@ class TestCacheTransparency:
 
 
 class TestCacheMechanics:
-    def test_clear_on_full(self):
-        cache = EvaluationCache(max_entries=3)
-        rows = [np.array([i], dtype=np.int64) for i in range(5)]
-        keys = [EvaluationCache.key(r, r) for r in rows]
-        for i, k in enumerate(keys[:3]):
-            cache.put(k, float(i), float(i))
-        assert len(cache) == 3
-        cache.put(keys[3], 3.0, 3.0)  # at capacity: clears, then stores
-        assert len(cache) == 1
-        assert cache.get(keys[3]) == (3.0, 3.0)
-        assert cache.get(keys[0]) is None
+    def test_clear_on_full(self, small_system, small_trace):
+        """A table sized for 8 queue states clears itself when a batch's
+        inserts would pass half load, never outgrows its slots, and
+        never changes a result."""
+        ev = make_evaluator(small_system, small_trace, cache_size=8)
+        table = ev._batch_kernel.queue_table
+        assert table.n_slots == 16 and table.capacity == 8
+        for seed in range(3):
+            assignments, orders = make_batch(small_system, small_trace, 6, seed)
+            assert_matches_oracle(ev, assignments, orders)
+            assert ev.cache_stats["entries"] <= table.n_slots
+        assert ev.cache_stats["evictions"] > 0
 
     def test_stats_and_clear(self, small_system, small_trace):
         assignments, orders = make_batch(small_system, small_trace, 5, 7)
         ev = make_evaluator(small_system, small_trace)
         ev.evaluate_batch(assignments, orders)
+        queues = ev._batch_kernel.last_batch["queues"]
         ev.evaluate_batch(assignments, orders)
         stats = ev.cache_stats
-        assert stats == {
-            "hits": 5,
-            "misses": 5,
-            "evictions": 0,
-            "entries": 5,
-            "hit_rate": 0.5,
-            "lifetime_hits": 5,
-            "lifetime_misses": 5,
-        }
+        assert stats["hits"] == queues
+        assert stats["misses"] == queues
+        assert stats["entries"] == queues
+        assert stats["evictions"] == 0
+        assert stats["hit_rate"] == 0.5
+        assert stats["reuse_rate"] == 0.5
         ev.clear_cache()
         assert ev.cache_stats["entries"] == 0
-        # Window counters restart with the empty store (no stale
-        # hit_rate across clears); lifetime totals stay monotonic.
-        assert ev.cache_stats["hits"] == 0
-        assert ev.cache_stats["misses"] == 0
+        # Lifetime counters survive a clear; the cleared table misses.
         ev.evaluate_batch(assignments, orders)
         stats = ev.cache_stats
-        assert stats["misses"] == 5
-        assert stats["hit_rate"] == 0.0
-        assert stats["lifetime_misses"] == 10
-        assert stats["lifetime_hits"] == 5
-
-    def test_window_stats_reset_on_capacity_clear(self):
-        cache = EvaluationCache(max_entries=2)
-        keys = [EvaluationCache.key(np.array([i], dtype=np.int64),
-                                    np.array([i], dtype=np.int64))
-                for i in range(3)]
-        for i in range(2):
-            cache.get(keys[i])
-            cache.put(keys[i], float(i), float(i))
-        cache.get(keys[0])  # window: 1 hit, 2 misses
-        assert cache.stats["hit_rate"] == pytest.approx(1 / 3)
-        cache.get(keys[2])
-        cache.put(keys[2], 2.0, 2.0)  # at capacity: clears the window
-        stats = cache.stats
-        assert stats["hits"] == 0 and stats["misses"] == 0
-        assert stats["hit_rate"] == 0.0
-        assert stats["lifetime_hits"] == 1
-        assert stats["lifetime_misses"] == 3
+        assert stats["hits"] == queues
+        assert stats["misses"] == 2 * queues
 
     def test_disabled_cache_stats(self, small_system, small_trace):
         ev = make_evaluator(small_system, small_trace, cache_size=0)
-        assert ev.cache is None
+        assignments, orders = make_batch(small_system, small_trace, 4, 8)
+        ev.evaluate_batch(assignments, orders)
+        assert ev.cache_stats["entries"] == 0
         assert ev.cache_stats["hit_rate"] == 0.0
         ev.clear_cache()  # no-op, must not raise
+        oracle = make_evaluator(small_system, small_trace,
+                                kernel_method="batch-reference")
+        assert oracle.cache_stats["hit_rate"] == 0.0
+        oracle.clear_cache()
 
-    def test_distinct_chromosomes_distinct_keys(self):
-        a = np.arange(6, dtype=np.int64)
-        b = a.copy()
-        b[3] = 99
-        assert EvaluationCache.key(a, a) != EvaluationCache.key(b, a)
-        assert EvaluationCache.key(a, a) != EvaluationCache.key(a, b)
+    def test_distinct_chromosomes_distinct_keys(self, small_system,
+                                                small_trace):
+        """Changing one gene changes the fingerprints of exactly the
+        queues it touches: the replayed row hits on every other queue
+        and folds the touched ones afresh."""
+        assignments, orders = make_batch(small_system, small_trace, 1, 10)
+        ev = make_evaluator(small_system, small_trace)
+        ev.evaluate_batch(assignments, orders)
+        queues = ev._batch_kernel.last_batch["queues"]
+        moved = orders.copy()
+        t = int(np.argmax(orders[0]))
+        moved[0, t] = -1  # task t now runs first on its queue
+        assert_matches_oracle(ev, assignments, moved)
+        batch = ev._batch_kernel.last_batch
+        assert batch["queue_misses"] == 1
+        assert batch["queue_hits"] == queues - 1
 
     def test_invalid_construction(self, small_system, small_trace):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError, match="cache_size"):
             make_evaluator(small_system, small_trace, cache_size=-1)
-        with pytest.raises(ScheduleError):
-            make_evaluator(small_system, small_trace, kernel_method="turbo")
-        with pytest.raises(ScheduleError):
-            EvaluationCache(max_entries=0)
+        # Unknown and retired kernel names are rejected with the list
+        # of valid ones.
+        for name in ("turbo", "fast", "reference"):
+            with pytest.raises(ScheduleError, match="batch-reference"):
+                make_evaluator(small_system, small_trace, kernel_method=name)
 
 
 # -- kernel exactness ---------------------------------------------------------
 
 
-def mirror_finish_times(group, order_key, arrivals, exec_times, row_block=None):
-    """Pure-Python bitwise mirror of ``_segmented_finish_times``.
-
-    Replays the kernel's exact floating-point operation order — stable
-    (group, order) sort, row-local sequential cumulative sum, segment
-    offset subtraction, ``a − (cse − e)`` keys, true running maximum —
-    one scalar at a time.
-    """
-    n = group.shape[0]
-    if row_block is None:
-        row_block = n
-    idx = np.lexsort((np.arange(n), order_key, group))
-    g = group[idx]
-    e = exec_times[idx]
-    a = arrivals[idx]
-    cs = np.empty(n, dtype=np.float64)
-    for r0 in range(0, n, row_block):
-        acc = 0.0
-        for i in range(r0, r0 + row_block):
-            acc = acc + float(e[i])
-            cs[i] = acc
-    finish_sorted = np.empty(n, dtype=np.float64)
-    offset = 0.0
-    runmax = -math.inf
-    for i in range(n):
-        if i == 0 or g[i] != g[i - 1]:
-            offset = 0.0 if i % row_block == 0 else float(cs[i - 1])
-            runmax = -math.inf
-        cse = float(cs[i]) - offset
-        key = float(a[i]) - (cse - float(e[i]))
-        runmax = max(runmax, key)
-        finish_sorted[i] = cse + runmax
-    finish = np.empty(n, dtype=np.float64)
-    finish[idx] = finish_sorted
+def mirror_finish_times(assignment, order, arrivals, exec_times):
+    """Scalar mirror of one row's queue recurrence: per queue, in
+    ascending ``(order key, task)`` order, ``cs`` a left fold of the
+    execution times and ``f = max_{i <= j}(a_i - cs_{i-1}) + cs_j``."""
+    finish = np.empty(len(assignment))
+    for machine in sorted(set(assignment.tolist())):
+        tasks = sorted(
+            (int(order[t]), t)
+            for t in range(len(assignment)) if assignment[t] == machine
+        )
+        cs = 0.0
+        runmax = -np.inf
+        for _, t in tasks:
+            key = float(arrivals[t]) - cs
+            cs = cs + float(exec_times[t])
+            runmax = max(runmax, key)
+            finish[t] = runmax + cs
     return finish
 
 
-def random_kernel_inputs(rng, n, queues, arrival_scale=1.0, order_span=None):
-    group = rng.integers(0, queues, size=n)
-    span = order_span if order_span is not None else n
-    order_key = rng.integers(0, span, size=n)
-    arrivals = rng.uniform(0.0, 100.0, size=n) * arrival_scale
-    exec_times = rng.uniform(0.1, 30.0, size=n)
-    return group, order_key, arrivals, exec_times
+def random_fold_inputs(rng, rows, n, queues, order_span=None):
+    """Random ``(assignment, order, arrivals, (rows, n) exec times)``;
+    a small *order_span* forces order-key ties."""
+    assignment = rng.integers(0, queues, size=n)
+    order = rng.integers(0, order_span or n, size=n)
+    arrivals = np.sort(rng.uniform(0.0, 100.0, size=n))
+    exec_times = rng.uniform(0.1, 30.0, size=(rows, n))
+    return assignment, order, arrivals, exec_times
+
+
+def assert_fold_matches_mirror(assignment, order, arrivals, exec_times):
+    finish = _fold_finish_times(_queues(assignment, order), arrivals,
+                                exec_times)
+    for row, e in zip(finish, exec_times):
+        np.testing.assert_array_equal(
+            row, mirror_finish_times(assignment, order, arrivals, e)
+        )
 
 
 class TestKernelExactness:
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("use_scratch", [False, True])
-    def test_fast_matches_python_mirror(self, seed, use_scratch):
+    @pytest.mark.parametrize("many_samples", [False, True])
+    def test_fast_matches_python_mirror(self, seed, many_samples):
+        """The vectorized per-queue fold matches the scalar mirror bit
+        for bit, for one sample and for a block of samples, with and
+        without order-key ties."""
         rng = np.random.default_rng(seed)
-        inputs = random_kernel_inputs(rng, 200, queues=9)
-        scratch = _KernelScratch() if use_scratch else None
-        fast = _segmented_finish_times(*inputs, scratch=scratch)
-        np.testing.assert_array_equal(fast, mirror_finish_times(*inputs))
+        rows = 16 if many_samples else 1
+        for order_span in (None, 7):
+            assert_fold_matches_mirror(
+                *random_fold_inputs(rng, rows, 200, 9, order_span)
+            )
 
     @pytest.mark.parametrize("row_block", [10, 50])
     def test_row_block_matches_mirror(self, row_block):
-        """Batch mode: group ids strictly separate rows, cumsums reset
-        per row — exactly as ``evaluate_batch`` drives the kernel."""
+        """200 sampled execution times split into rows of *row_block*
+        tasks: every row folds independently of the others."""
         rng = np.random.default_rng(10)
-        rows = 200 // row_block
-        group, order_key, arrivals, exec_times = random_kernel_inputs(
-            rng, 200, queues=5
-        )
-        group = group + np.repeat(np.arange(rows), row_block) * 5
-        fast = _segmented_finish_times(
-            group, order_key, arrivals, exec_times, row_block=row_block,
-            scratch=_KernelScratch(),
-        )
-        np.testing.assert_array_equal(
-            fast,
-            mirror_finish_times(
-                group, order_key, arrivals, exec_times, row_block=row_block
-            ),
+        assert_fold_matches_mirror(
+            *random_fold_inputs(rng, 200 // row_block, row_block, 5)
         )
 
-    def test_fast_close_to_reference_at_normal_magnitudes(self):
-        rng = np.random.default_rng(20)
-        inputs = random_kernel_inputs(rng, 300, queues=12)
-        fast = _segmented_finish_times(*inputs, scratch=_KernelScratch())
-        ref = _segmented_finish_times_reference(*inputs)
-        np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=0.0)
+    def test_row_block_must_divide_input(self, small_system, small_trace):
+        """Batch rows must cover exactly the trace's tasks."""
+        assignments, orders = make_batch(small_system, small_trace, 2, 11)
+        ev = make_evaluator(small_system, small_trace)
+        with pytest.raises(ScheduleError, match="tasks"):
+            ev.evaluate_batch(assignments[:, :-1], orders[:, :-1])
+        with pytest.raises(ScheduleError, match="equal-shape"):
+            ev.evaluate_batch(assignments, orders[:, :-1])
+
+    def test_fast_close_to_reference_at_normal_magnitudes(
+        self, small_system, small_trace
+    ):
+        """The compiled kernel agrees with the event-driven reference
+        simulator, which sums in its own order, to float precision."""
+        assignments, orders = make_batch(small_system, small_trace, 12, 20)
+        ev = make_evaluator(small_system, small_trace)
+        energies, utilities = ev.evaluate_batch(assignments, orders)
+        for i in range(12):
+            ref = simulate_reference(small_system, small_trace,
+                                     ResourceAllocation(assignments[i],
+                                                        orders[i]))
+            assert energies[i] == pytest.approx(ref.energy, rel=1e-12)
+            assert utilities[i] == pytest.approx(ref.utility, rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_exact_at_extreme_magnitudes(self, seed):
-        """Arrivals around 2⁴⁰ with full mantissas across many segments:
-        the regime where ``seg_id × big`` offsets round away low bits.
-        The production kernel must still match the scalar mirror bit
-        for bit (its offset trick is validated and falls back to the
-        exact scan when lossy)."""
+    def test_exact_at_extreme_magnitudes(self, small_system, seed):
+        """Arrivals around 2⁴⁰ with full mantissas: the regime where any
+        reassociation of the queue folds rounds away low bits.  The
+        kernel must still match the scalar oracle bit for bit."""
         rng = np.random.default_rng(100 + seed)
-        n = 400
-        group, order_key, _, _ = random_kernel_inputs(rng, n, queues=50)
-        arrivals = 2.0**40 + rng.uniform(0.0, 1.0, size=n)
-        exec_times = rng.uniform(1e-6, 1e-3, size=n)
-        fast = _segmented_finish_times(
-            group, order_key, arrivals, exec_times, scratch=_KernelScratch()
+        n = 60
+        trace = Trace(
+            task_types=rng.integers(0, small_system.num_task_types, size=n),
+            arrival_times=np.sort(2.0**40 + rng.uniform(0.0, 1.0, size=n)),
+            window=2.0**41,
         )
-        np.testing.assert_array_equal(
-            fast, mirror_finish_times(group, order_key, arrivals, exec_times)
-        )
+        ev = make_evaluator(small_system, trace)
+        assignments, orders = make_batch(small_system, trace, 12, seed)
+        assert_matches_oracle(ev, assignments, orders)
+        assert_matches_oracle(ev, assignments, orders)  # warm
 
-    def test_negative_and_huge_order_keys(self):
-        """The composite-key sort handles extreme int64 order keys (falls
-        back to lexsort past the overflow guard) without changing the
-        result."""
+    def test_negative_and_huge_order_keys(self, small_system, small_trace):
+        """Extreme int64 order keys (negative and near ±2⁶²) order
+        queues exactly as the oracle's Python sort does."""
         rng = np.random.default_rng(30)
-        group, _, arrivals, exec_times = random_kernel_inputs(rng, 64, queues=4)
-        order_key = rng.integers(-(2**62), 2**62, size=64)
-        fast = _segmented_finish_times(
-            group, order_key, arrivals, exec_times, scratch=_KernelScratch()
-        )
-        np.testing.assert_array_equal(
-            fast, mirror_finish_times(group, order_key, arrivals, exec_times)
-        )
-
-    def test_row_block_must_divide_input(self):
-        with pytest.raises(ScheduleError):
-            _segmented_finish_times(
-                np.zeros(5, dtype=np.int64),
-                np.arange(5),
-                np.zeros(5),
-                np.ones(5),
-                row_block=2,
-            )
+        assignments, _ = make_batch(small_system, small_trace, 8, 9)
+        orders = rng.integers(-(2**62), 2**62, size=assignments.shape)
+        ev = make_evaluator(small_system, small_trace)
+        assert_matches_oracle(ev, assignments, orders)
 
     def test_kernel_method_dispatch(self, small_system, small_trace):
-        """Both configured kernels agree on realistic workloads (to
-        float precision) while the engines stay bit-identical per
-        kernel."""
+        """Every configured kernel returns the same objectives, to the
+        bit."""
         assignments, orders = make_batch(small_system, small_trace, 12, 8)
-        fast = make_evaluator(
-            small_system, small_trace, cache_size=0, kernel_method="fast"
-        )
-        ref = make_evaluator(
-            small_system, small_trace, cache_size=0, kernel_method="reference"
-        )
-        e0, u0 = fast.evaluate_batch(assignments, orders)
-        e1, u1 = ref.evaluate_batch(assignments, orders)
-        np.testing.assert_allclose(e0, e1, rtol=1e-12)
-        np.testing.assert_allclose(u0, u1, rtol=1e-9)
+        results = [
+            make_evaluator(small_system, small_trace, kernel_method=method)
+            .evaluate_batch(assignments, orders)
+            for method in KERNEL_METHODS
+        ]
+        for energies, utilities in results[1:]:
+            np.testing.assert_array_equal(energies, results[0][0])
+            np.testing.assert_array_equal(utilities, results[0][1])

@@ -122,7 +122,7 @@ def test_concurrent_cold_builds_both_load(tmp_path):
         system = SystemModel.from_matrices(np.ones((1, 2)), np.ones((1, 2)))
         trace = Trace(task_types=np.zeros(3, dtype=int),
                       arrival_times=np.zeros(3), window=1.0)
-        ev = MakespanEnergyEvaluator(system, trace, kernel_method="batch")
+        ev = MakespanEnergyEvaluator(system, trace)
         e, neg_makespan = ev.evaluate_batch([[0, 1, 0]], [[0, 1, 2]])
         print(float(e[0]), float(neg_makespan[0]))
     """)
