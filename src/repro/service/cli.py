@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=KERNEL_METHODS,
                    default=DEFAULT_KERNEL_METHOD,
                    help="evaluation kernel: 'batch' (default, compiled, "
-                   "reuses queue states across windows) or its scalar "
+                   "reuses queue states within a window) or its scalar "
                    "oracle 'batch-reference' (same results, no C "
                    "compiler)")
     p.add_argument("--cold", action="store_true",

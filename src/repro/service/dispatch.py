@@ -12,9 +12,12 @@ levels:
   repair-mapped copies of this window's survivors
   (:func:`~repro.core.seeding.repair_mapped_seeds`), not from random
   chromosomes.
-* **Kernel state** — the next window's evaluator adopts this window's
-  batch-kernel queue-state caches, so the committed prefix (identical
-  in every chromosome) is answered from cache.
+* **Queue backlog** — the ledger carries the end fold state of every
+  machine queue's committed prefix, so the next window folds its free
+  tasks only (see :mod:`repro.service.window`).  Within a window the
+  batch kernel's queue-state table reuses the free queues the GA
+  repeats; the table is sized by what the window can insert and is
+  dropped with the window.
 * **Archive** — every window's front accumulates into one bounded
   ε-dominance archive, so the dispatch policy always has the best
   energy/utility trade-off curve seen so far.
@@ -38,6 +41,7 @@ from repro.sim.evaluator import DEFAULT_CACHE_SIZE, DEFAULT_KERNEL_METHOD
 from repro.service.stream import WindowBatch
 from repro.service.window import CommittedLedger, WindowEvaluator
 from repro.types import FloatArray
+from repro.utility.vectorized import TUFTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.system import SystemModel
@@ -62,10 +66,6 @@ class ServiceConfig:
         Seed each window from the previous window's survivors
         (repair-mapped); ``False`` re-seeds randomly every window (the
         cold-restart baseline).
-    kernel_reuse:
-        Adopt the previous window's batch-kernel queue-state caches
-        (``False`` additionally makes the cold-restart baseline pay
-        full evaluation cost each window).
     carryover:
         Maximum donor chromosomes carried between windows (front rows
         first), capped at the population size.
@@ -76,12 +76,14 @@ class ServiceConfig:
         (flagged in the report) when none does.  ``None`` = argmax
         utility, unconstrained.
     kernel_method, cache_size:
-        Horizon evaluator configuration; the batch kernel is what makes
-        cross-window queue-state reuse possible.
+        Window evaluator configuration.  Each window's queue-state table
+        gets ``min(cache_size, population_size × (generations + 1) ×
+        machines)`` entries — no more than the window can insert.
     compact_every:
         Attempt ledger compaction every this many windows (0 = never).
-        Compaction bounds horizon growth for indefinite streams but
-        resets the kernel caches (task indices shift).
+        Compaction bounds horizon growth for indefinite streams; the
+        window after it refolds the surviving committed tasks once to
+        rebuild the queue backlog.
     archive_epsilon_rel:
         ε-box size for the Pareto archive, relative to the first
         window's front ranges per axis.
@@ -95,7 +97,6 @@ class ServiceConfig:
     generations: int = 12
     mutation_probability: float = 0.25
     warm_start: bool = True
-    kernel_reuse: bool = True
     carryover: int = 16
     energy_budget: Optional[float] = None
     kernel_method: str = DEFAULT_KERNEL_METHOD
@@ -132,7 +133,14 @@ class ServiceConfig:
 
 @dataclass(frozen=True)
 class WindowReport:
-    """Everything recorded about one dispatch window."""
+    """Everything recorded about one dispatch window.
+
+    ``kernel_adopted`` says the window started from a carried non-empty
+    queue backlog (committed work on the horizon); ``kernel_elements``
+    counts the queue elements its kernel covered — evaluated rows times
+    the window's free tasks — and ``reuse_rate`` the share of them the
+    window's queue-state table answered.
+    """
 
     index: int
     start: float
@@ -146,6 +154,7 @@ class WindowReport:
     dispatch_seconds: float
     warm_seeds: int
     kernel_adopted: bool
+    kernel_elements: int
     reuse_rate: float
     compacted: int
     archive_size: int
@@ -194,9 +203,9 @@ class DispatchService:
 
     Feed windows via :meth:`run` (an iterable of
     :class:`~repro.service.stream.WindowBatch`) or one at a time via
-    :meth:`process_window`; state (ledger, archive, carryover
-    population, kernel caches) persists across calls, so a driver can
-    interleave windows with its own logic.
+    :meth:`process_window`; state (ledger and its queue backlog,
+    archive, carryover population) persists across calls, so a driver
+    can interleave windows with its own logic.
     """
 
     def __init__(
@@ -213,7 +222,12 @@ class DispatchService:
         self.ledger = CommittedLedger()
         self.archive: Optional[EpsilonParetoArchive] = None
         self.reports: list[WindowReport] = []
-        self._prev_evaluator: Optional[WindowEvaluator] = None
+        cfg = self.config
+        self._tuf_table = TUFTable.from_system(system)
+        self._window_cache_size = min(
+            cfg.cache_size,
+            cfg.population_size * (cfg.generations + 1) * system.num_machines,
+        )
         self._prev_types = None
         self._prev_donors = None
         self._flow_time_sum = 0.0
@@ -273,10 +287,6 @@ class DispatchService:
             and batch.index % cfg.compact_every == 0
         ):
             compacted = self.ledger.compact(batch.start)
-            if compacted:
-                # Task indices shifted: adopted kernel state and donor
-                # mappings from the old epoch no longer apply.
-                self._prev_evaluator = None
         if batch.count == 0:
             report = self._idle_report(batch, compacted, t0)
             self._record(report, reuse={})
@@ -285,9 +295,9 @@ class DispatchService:
         evaluator = WindowEvaluator(
             self.system, self.ledger, batch,
             kernel_method=cfg.kernel_method,
-            cache_size=cfg.cache_size,
+            cache_size=self._window_cache_size,
             obs=self.obs,
-            reuse_from=self._prev_evaluator if cfg.kernel_reuse else None,
+            tuf_table=self._tuf_table,
         )
         seeds = []
         if cfg.warm_start and self._prev_donors is not None and cfg.carryover:
@@ -317,14 +327,14 @@ class DispatchService:
         order = algorithm.population.orders[row].copy()
 
         full = evaluator.evaluate_full(assignment, order)
-        C = evaluator.committed
-        finishes = full.completion_times[C:]
+        finishes = full.completion_times
         self._flow_time_sum += float(
             (finishes - batch.arrival_times).sum()
         )
         self.ledger.commit(
             batch, assignment, evaluator.absolute_orders(order),
-            finishes, full.task_energies[C:], full.task_utilities[C:],
+            finishes, full.task_energies, full.task_utilities,
+            queue_states=full.queue_states,
         )
         archive_size = self._ensure_archive(points).update(
             points, payloads=[batch.index] * points.shape[0]
@@ -337,7 +347,6 @@ class DispatchService:
         donor_rows = np.concatenate([rows, np.flatnonzero(rest)])
         self._prev_types = batch.task_types
         self._prev_donors = algorithm.population.assignments[donor_rows].copy()
-        self._prev_evaluator = evaluator
 
         reuse = evaluator.cache_stats
         report = WindowReport(
@@ -351,6 +360,7 @@ class DispatchService:
             dispatch_seconds=time.perf_counter() - t0,
             warm_seeds=len(seeds),
             kernel_adopted=evaluator.kernel_adopted,
+            kernel_elements=int(reuse.get("elements_total", 0)),
             reuse_rate=float(reuse.get("reuse_rate", 0.0)),
             compacted=compacted,
             archive_size=archive_size,
@@ -374,7 +384,8 @@ class DispatchService:
             evaluations=0, front_points=np.empty((0, 2)),
             chosen_energy=0.0, chosen_utility=0.0, budget_exceeded=False,
             dispatch_seconds=time.perf_counter() - t0,
-            warm_seeds=0, kernel_adopted=False, reuse_rate=0.0,
+            warm_seeds=0, kernel_adopted=False, kernel_elements=0,
+            reuse_rate=0.0,
             compacted=compacted,
             archive_size=len(self.archive) if self.archive else 0,
         )
@@ -421,8 +432,8 @@ class DispatchService:
         ).set(report.archive_size)
         metrics.gauge(
             "service_reuse_rate",
-            help="lifetime fraction of queue elements answered from "
-            "cached kernel state",
+            help="fraction of the latest window's queue elements "
+            "answered from its kernel's queue-state table",
         ).set(float(reuse.get("reuse_rate", 0.0)))
 
     # -- summary -----------------------------------------------------------

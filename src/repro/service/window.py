@@ -3,33 +3,34 @@
 The optimization trick behind the service: instead of re-optimizing
 each window in isolation (which would ignore queue backlogs left by
 earlier dispatches), every window is optimized over the *full* horizon
-trace — all committed (already-dispatched) tasks plus the window's
-free tasks — with the committed genes frozen in every chromosome:
+— all committed (already-dispatched) tasks plus the window's free
+tasks — with the committed genes frozen in every chromosome:
 
 * Committed order keys are the keys the winning chromosome carried
   when its window was optimized; free keys are offset by
   ``order_base`` (the count of every task committed so far), so
   committed tasks sort strictly before free tasks in every machine
   queue and their queue prefix is **identical across the whole
-  population, across generations, and across windows**.
-* That identical prefix is exactly what the batch kernel's
-  content-fingerprint caches key on: with the previous window's kernel
-  state adopted (:meth:`~repro.sim.evaluator.ScheduleEvaluator.adopt_kernel_state`),
-  committed prefixes hit the cache instead of being re-folded.
+  population and across generations**.
+* Every objective is a left fold along each machine queue (see
+  :mod:`repro.sim.batchkernel`), so an identical prefix has one end
+  state per queue — the *backlog*.  The window evaluates its **free
+  tasks only**, starting every queue from the ledger's backlog: bit
+  for bit the fold over the whole horizon, at O(free tasks) per row.
 * Because committed tasks occupy the head of their queues, their
   finish times, energies, and utilities are *constants* with respect
   to the free genes — the committed contribution shifts every
   objective point by the same vector, preserving Pareto structure
   while making each window's objectives service-cumulative.
 
-:class:`CommittedLedger` is the durable record of dispatched tasks;
-:class:`WindowEvaluator` is the evaluator adapter the per-window
-algorithm runs against (it presents only the free tasks to the GA and
-splices the committed prefix into every batch).  Compaction drops
-committed tasks that can no longer interact with future arrivals
-(queue-prefix finish times at or before the window start), bounding
-the horizon length for indefinite streams at the cost of a kernel
-cache reset (task indices shift, so fingerprints change).
+:class:`CommittedLedger` is the durable record of dispatched tasks and
+carries the backlog from window to window: a commit stores the end
+states of the dispatched chromosome's queues.  :class:`WindowEvaluator`
+is the evaluator adapter the per-window algorithm runs against.
+Compaction drops committed tasks that can no longer interact with
+future arrivals (queue-prefix finish times at or before the window
+start), bounding the horizon for indefinite streams; the survivors are
+then folded from empty queues once to rebuild the backlog.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.errors import ScheduleError
 from repro.sim.evaluator import (
     DEFAULT_CACHE_SIZE,
     DEFAULT_KERNEL_METHOD,
+    EvaluatorArrays,
     ScheduleEvaluator,
 )
 from repro.sim.schedule import ResourceAllocation
@@ -53,6 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.system import SystemModel
     from repro.obs.context import RunContext
     from repro.service.stream import WindowBatch
+    from repro.utility.vectorized import TUFTable
 
 __all__ = ["CommittedLedger", "WindowEvaluator"]
 
@@ -72,10 +75,11 @@ class CommittedLedger:
     Arrays are aligned and arrival-sorted (windows commit in order).
     ``order_keys`` are the absolute scheduling keys committed tasks
     carried when their window was optimized — kept verbatim so the
-    committed queue content (and hence its kernel fingerprint) never
-    changes after commit.  ``energy_offset``/``utility_offset``
-    accumulate the contributions of *compacted* tasks, which leave the
-    horizon trace but stay in the service totals.
+    committed queue order never changes after commit.
+    ``energy_offset``/``utility_offset`` accumulate the contributions of
+    *compacted* tasks, which leave the horizon but stay in the service
+    totals.  ``backlog`` is the end fold state of every machine queue's
+    committed prefix, the state the next window's free tasks start from.
     """
 
     task_types: IntArray = field(default_factory=_empty_i64)
@@ -92,9 +96,14 @@ class CommittedLedger:
     order_base: int = 0
     dispatched_total: int = 0
     compacted_total: int = 0
-    #: Bumped on every compaction: task indices shift, so adopted
-    #: kernel state from an earlier epoch would be silently stale.
+    #: Bumped on every compaction that drops tasks (horizon task
+    #: indices and order keys are renumbered).
     epoch: int = 0
+    #: ``(5, num_queues)`` end state of the committed queue prefixes
+    #: (rows in :data:`~repro.sim.batchkernel.STATE_FIELDS` order), or
+    #: ``None`` when stale — after a compaction, or a commit that
+    #: supplied no states; :meth:`backlog_for` then refolds it once.
+    backlog: Optional[FloatArray] = None
 
     @property
     def active(self) -> int:
@@ -119,13 +128,18 @@ class CommittedLedger:
         finish_times: FloatArray,
         task_energies: FloatArray,
         task_utilities: FloatArray,
+        queue_states: Optional[FloatArray] = None,
     ) -> None:
         """Append one window's dispatched tasks.
 
         *order_keys* are the absolute keys used during the window's
         optimization (free keys already offset by :attr:`order_base`);
-        keeping them verbatim is what makes the committed queue prefix
-        byte-stable for the kernel caches.
+        keeping them verbatim keeps the committed queue order stable.
+        *queue_states* are the end states of the dispatched chromosome's
+        queues (:attr:`~repro.sim.evaluator.EvaluationResult.queue_states`
+        of :meth:`WindowEvaluator.evaluate_full`) and become the
+        :attr:`backlog`; without them the backlog goes stale and is
+        refolded from the ledger when next needed.
         """
         count = batch.count
         arrays = (assignment, order_keys, finish_times, task_energies,
@@ -164,6 +178,10 @@ class CommittedLedger:
             [self.task_utilities, task_utilities.astype(np.float64)]
         )
         self.dispatched_total += count
+        self.backlog = (
+            None if queue_states is None
+            else np.array(queue_states, dtype=np.float64)
+        )
         # Advance the base past this window's keys (a permutation of
         # [order_base, order_base + count)), so the next window's free
         # tasks sort strictly after everything committed.
@@ -180,11 +198,13 @@ class CommittedLedger:
         nondecreasing along a queue, so checking the boundary task
         suffices.  Dropped contributions move into the offsets; the
         remaining keys are renumbered densely (order preserved) so
-        order keys stay small forever; :attr:`epoch` is bumped because
-        horizon task indices shift — callers must rebuild kernel state.
+        order keys stay small forever; :attr:`epoch` is bumped and the
+        :attr:`backlog` goes stale: the survivors are folded from empty
+        queues, exactly as a horizon that never held the dropped tasks.
 
         Returns the number of tasks dropped (0 = nothing to do, and the
-        ledger — including :attr:`epoch` — is untouched).
+        ledger — including :attr:`epoch` and :attr:`backlog` — is
+        untouched).
         """
         C = self.active
         if C == 0:
@@ -226,7 +246,47 @@ class CommittedLedger:
         self.order_base = int(self.order_keys.shape[0])
         self.compacted_total += dropped
         self.epoch += 1
+        self.backlog = None
         return dropped
+
+    def backlog_for(
+        self,
+        system: "SystemModel",
+        kernel_method: str = DEFAULT_KERNEL_METHOD,
+        tuf_table: Optional["TUFTable"] = None,
+    ) -> FloatArray:
+        """The committed queues' end fold state on *system*'s machines.
+
+        The identity for an empty ledger; otherwise the carried
+        :attr:`backlog`, refolded once (and stored) when stale by
+        folding the committed chromosome from empty queues with
+        *kernel_method*'s kernel.
+        """
+        if self.active == 0:
+            # Imported here so ``import repro.service`` does not load
+            # the compiled kernel's build machinery.
+            from repro.sim.batchkernel import identity_backlog
+
+            return identity_backlog(system.num_machines)
+        if self.backlog is None:
+            committed = Trace(
+                task_types=self.task_types,
+                arrival_times=self.arrival_times,
+                window=float(self.arrival_times[-1]) + 1.0,
+            )
+            evaluator = ScheduleEvaluator(
+                system, committed,
+                check_feasibility=False,
+                cache_size=0,
+                kernel_method=kernel_method,
+                precomputed=EvaluatorArrays.gather(
+                    system, self.task_types, tuf_table
+                ),
+            )
+            self.backlog = evaluator.queue_states(
+                self.machine_assignment, self.order_keys
+            )
+        return self.backlog
 
 
 class WindowEvaluator:
@@ -234,18 +294,18 @@ class WindowEvaluator:
 
     Presents the GA-facing evaluator surface (``system``, ``trace``,
     ``num_tasks``, ``evaluate_batch``) over the window's **free** tasks
-    while evaluating every chromosome on the **full horizon trace**
-    with the committed prefix spliced in.  Committed genes are frozen
-    and sort first in every queue; free order keys are offset by the
-    ledger's ``order_base``.  Objectives returned are
-    service-cumulative: horizon totals plus the ledger's compaction
-    offsets.
+    and evaluates exactly those: a :class:`ScheduleEvaluator` over the
+    free tasks whose machine queues start from the ledger's backlog, so
+    each row folds O(free tasks) elements however long the committed
+    horizon is.  Committed genes are frozen and sort first in every
+    queue; free order keys are offset by the ledger's ``order_base``
+    when committed.  Objectives returned are service-cumulative:
+    horizon totals plus the ledger's compaction offsets.
 
-    Construction builds a full :class:`ScheduleEvaluator` over the
-    horizon; pass the previous window's adapter via *reuse_from* to
-    adopt its batch-kernel queue-state caches (only valid within the
-    same ledger epoch — a compaction shifts task indices and forces a
-    cold kernel).
+    *tuf_table* lets a long-running caller build the TUF table once
+    instead of once per window; *cache_size* bounds this window's
+    queue-state table, which lives and dies with the window (cached
+    states are valid for one backlog only).
     """
 
     def __init__(
@@ -256,44 +316,20 @@ class WindowEvaluator:
         kernel_method: str = DEFAULT_KERNEL_METHOD,
         cache_size: int = DEFAULT_CACHE_SIZE,
         obs: Optional["RunContext"] = None,
-        reuse_from: Optional["WindowEvaluator"] = None,
+        tuf_table: Optional["TUFTable"] = None,
     ) -> None:
         if batch.count == 0:
             raise ScheduleError("cannot build a WindowEvaluator for an "
                                 "idle (zero-task) window")
         self.ledger = ledger
         self.batch = batch
-        self.epoch = ledger.epoch
-        self.committed = ledger.active
         self.order_base = ledger.order_base
-        horizon_types = np.concatenate([ledger.task_types, batch.task_types])
-        horizon_arrivals = np.concatenate(
-            [ledger.arrival_times, batch.arrival_times]
-        )
-        horizon = Trace(
-            task_types=horizon_types,
-            arrival_times=horizon_arrivals,
-            window=batch.end,
-        )
-        self.horizon_evaluator = ScheduleEvaluator(
-            system, horizon,
-            check_feasibility=False,
-            kernel_method=kernel_method,
-            cache_size=cache_size,
-            obs=obs,
-        )
-        self.kernel_adopted = False
-        if reuse_from is not None:
-            if reuse_from.epoch != ledger.epoch:
-                raise ScheduleError(
-                    "kernel state from a pre-compaction epoch is stale; "
-                    "start the window with a cold evaluator"
-                )
-            self.kernel_adopted = self.horizon_evaluator.adopt_kernel_state(
-                reuse_from.horizon_evaluator
-            )
+        arrays = EvaluatorArrays.gather(system, batch.task_types, tuf_table)
+        backlog = ledger.backlog_for(system, kernel_method, arrays.tuf_table)
+        #: Whether the window starts from a carried non-empty backlog.
+        self.kernel_adopted = ledger.active > 0
         # GA-facing surface: the free tasks as their own trace (absolute
-        # arrival times — feasibility only reads task types).
+        # arrival times, so finish times stay on the service clock).
         self.system = system
         self.trace = Trace(
             task_types=batch.task_types,
@@ -302,34 +338,24 @@ class WindowEvaluator:
         )
         self.num_tasks = batch.count
         self.num_machines = system.num_machines
+        self.evaluator = ScheduleEvaluator(
+            system, self.trace,
+            check_feasibility=False,
+            kernel_method=kernel_method,
+            cache_size=cache_size,
+            obs=obs,
+            precomputed=arrays,
+            backlog=backlog,
+        )
 
     # -- GA-facing evaluator surface ---------------------------------------
-
-    def _splice(
-        self, assignments: IntArray, orders: IntArray
-    ) -> tuple[IntArray, IntArray]:
-        """Full-horizon (N, C+F) chromosome arrays from free genes."""
-        assignments = np.asarray(assignments, dtype=np.int64)
-        orders = np.asarray(orders, dtype=np.int64)
-        N = assignments.shape[0]
-        C, F = self.committed, self.num_tasks
-        full_a = np.empty((N, C + F), dtype=np.int64)
-        full_o = np.empty((N, C + F), dtype=np.int64)
-        full_a[:, :C] = self.ledger.machine_assignment
-        full_o[:, :C] = self.ledger.order_keys
-        full_a[:, C:] = assignments
-        # Free keys sort after every committed key; relative order among
-        # free tasks is the GA's permutation.
-        full_o[:, C:] = orders + self.order_base
-        return full_a, full_o
 
     def evaluate_batch(
         self, assignments: IntArray, orders: IntArray
     ) -> tuple[FloatArray, FloatArray]:
         """Service-cumulative ``(energies, utilities)`` per free-gene row."""
-        full_a, full_o = self._splice(assignments, orders)
-        energies, utilities = self.horizon_evaluator.evaluate_batch(
-            full_a, full_o
+        energies, utilities = self.evaluator.evaluate_batch(
+            assignments, orders
         )
         if self.ledger.energy_offset or self.ledger.utility_offset:
             energies = energies + self.ledger.energy_offset
@@ -341,18 +367,21 @@ class WindowEvaluator:
     def evaluate_full(
         self, assignment: IntArray, order: IntArray
     ):
-        """Full per-task result for one free-gene chromosome.
+        """Per-task result for one free-gene chromosome, at commit time.
 
-        Used at commit time: per-task finish times feed compaction, and
-        per-task energies/utilities feed the ledger.  Bit-identical to
-        the batch path (the single-allocation evaluator runs the batch
-        kernel's scalar oracle in batch mode).
+        An :class:`~repro.sim.evaluator.EvaluationResult` over the
+        window's free tasks: per-task finish times feed compaction,
+        per-task energies/utilities feed the ledger, and
+        ``queue_states`` becomes the ledger's next backlog.  Its
+        ``energy``/``utility`` are horizon totals (backlog included,
+        compaction offsets not), bit-identical to the batch path: the
+        scalar oracle runs over the free tasks from the same backlog.
         """
-        full_a, full_o = self._splice(assignment[None, :], order[None, :])
         alloc = ResourceAllocation(
-            machine_assignment=full_a[0], scheduling_order=full_o[0]
+            machine_assignment=np.asarray(assignment, dtype=np.int64),
+            scheduling_order=np.asarray(order, dtype=np.int64),
         )
-        return self.horizon_evaluator.evaluate(alloc)
+        return self.evaluator.evaluate(alloc)
 
     def absolute_orders(self, orders: IntArray) -> IntArray:
         """Free GA order keys shifted to their absolute (ledger) values."""
@@ -360,11 +389,11 @@ class WindowEvaluator:
 
     @property
     def cache_stats(self) -> dict:
-        """The horizon evaluator's kernel reuse counters."""
-        return self.horizon_evaluator.cache_stats
+        """This window's kernel reuse counters."""
+        return self.evaluator.cache_stats
 
     @property
     def last_batch_stats(self) -> dict:
         """Reuse counters for the most recent batch (empty pre-first)."""
-        kernel = self.horizon_evaluator._batch_kernel
+        kernel = self.evaluator._batch_kernel
         return dict(kernel.last_batch) if kernel is not None else {}

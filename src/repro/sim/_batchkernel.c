@@ -10,7 +10,12 @@
  * vectorised exp and libm's exp need not agree in the last bit).
  *
  * Every fold is a sequential left fold in the order the scalar oracle
- * batch_reference_row uses, so results are bit-identical to it.  Build
+ * batch_reference_row uses, so results are bit-identical to it.  Each
+ * queue's folds start from its backlog: the fold state (exec-time sum,
+ * running max, utility, energy, last finish) of work queued before the
+ * evaluated tasks.  The identity backlog (0, -inf, 0, 0, -inf) is an
+ * empty queue.  Cached queue states are valid for one backlog only, so
+ * a kernel's backlog is fixed for its life.  Build
  * with -ffp-contract=off (no fused multiply-add) and without
  * -ffast-math, which would license reassociation.
  */
@@ -19,7 +24,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define BK_ABI_VERSION 1
+#define BK_ABI_VERSION 2
 #define BK_MAX_PROBES 32
 #define BK_INSERTION_RUN 16
 
@@ -38,7 +43,8 @@ typedef struct {
     const double *etc, *eec;    /* (T, M) row-major */
     const double *arrivals;     /* (T,) */
     const int64_t *task_types;  /* (T,) */
-    /* queue-state table (replaced wholesale by adopt_state) */
+    const double *backlog;      /* (5, Mq): cs, rm, utility, energy, finish */
+    /* queue-state table */
     uint64_t *keys, *checks;
     uint8_t *used;
     double *values;             /* (3, n_slots): utility, energy, finish */
@@ -46,7 +52,8 @@ typedef struct {
     /* grow-only scratch */
     uint64_t *qkey;             /* (seg_cap,) queue fingerprints */
     int64_t *segi;              /* (4, seg_cap + 1): len, cursor, miss, start */
-    double *segf;               /* (3, seg_cap): utility, energy, finish */
+    double *segf;               /* (5, seg_cap): cs, rm, utility, energy,
+                                   finish -- the queues' end states */
     int64_t *elems;             /* (2, elem_cap, 2): (order, task) pairs */
     double *elapsed;            /* (elem_cap,) missed elements' elapsed */
     int64_t *types;             /* (elem_cap,) missed elements' task type */
@@ -161,8 +168,10 @@ static void sort_queue(bk_elem *a, bk_elem *tmp, int64_t n)
  * table holds, and for the rest sort their elements into queue order
  * and run the finish-time and energy folds.  Leaves the missed
  * elements' elapsed times and task types in c->elapsed / c->types for
- * the TUF evaluation.  Returns the number of missed elements, or -1
- * when an assignment names a machine outside [0, M).
+ * the TUF evaluation, and every queue's exec-time sum and running max
+ * in c->segf (NaN for a queue the table answered: it stores neither).
+ * Returns the number of missed elements, or -1 when an assignment
+ * names a machine outside [0, M).
  */
 int64_t bk_probe_fold(bk_ctx *c, const int64_t *assign, const int64_t *order,
                       int64_t N)
@@ -171,8 +180,10 @@ int64_t bk_probe_fold(bk_ctx *c, const int64_t *assign, const int64_t *order,
     int64_t *len = c->segi, *cursor = c->segi + c->seg_cap + 1;
     int64_t *miss = c->segi + 2 * (c->seg_cap + 1);
     int64_t *start = c->segi + 3 * (c->seg_cap + 1);
-    double *uq = c->segf, *eq = c->segf + c->seg_cap;
-    double *fq = c->segf + 2 * c->seg_cap;
+    const double *bl = c->backlog;
+    double *csq = c->segf, *rmq = c->segf + c->seg_cap;
+    double *uq = c->segf + 2 * c->seg_cap, *eq = c->segf + 3 * c->seg_cap;
+    double *fq = c->segf + 4 * c->seg_cap;
     bk_elem *elems = (bk_elem *)c->elems;
     bk_elem *tmp = elems + c->elem_cap;
 
@@ -195,9 +206,12 @@ int64_t bk_probe_fold(bk_ctx *c, const int64_t *assign, const int64_t *order,
     for (int64_t s = 0; s < n_seg; ++s) {
         cursor[s] = -1;
         if (len[s] == 0) {
-            uq[s] = 0.0;
-            eq[s] = 0.0;
-            fq[s] = -INFINITY;
+            const int64_t q = s % Mq;
+            csq[s] = bl[q];
+            rmq[s] = bl[Mq + q];
+            uq[s] = bl[2 * Mq + q];
+            eq[s] = bl[3 * Mq + q];
+            fq[s] = bl[4 * Mq + q];
             continue;
         }
         queues += 1;
@@ -209,6 +223,8 @@ int64_t bk_probe_fold(bk_ctx *c, const int64_t *assign, const int64_t *order,
                 uq[s] = c->values[slot];
                 eq[s] = c->values[c->n_slots + slot];
                 fq[s] = c->values[2 * c->n_slots + slot];
+                csq[s] = NAN;
+                rmq[s] = NAN;
                 hits += 1;
                 hit_elems += len[s];
                 continue;
@@ -240,9 +256,11 @@ int64_t bk_probe_fold(bk_ctx *c, const int64_t *assign, const int64_t *order,
 
     for (int64_t j = 0; j < n_miss; ++j) {
         const int64_t s = miss[j], lo = start[j], hi = start[j + 1];
+        const int64_t q = s % Mq;
         const int64_t *ar = assign + (s / Mq) * T;
         sort_queue(elems + lo, tmp + lo, hi - lo);
-        double cs = 0.0, rm = -INFINITY, f = 0.0, e_q = 0.0;
+        double cs = bl[q], rm = bl[Mq + q], f = bl[4 * Mq + q];
+        double e_q = bl[3 * Mq + q];
         for (int64_t i = lo; i < hi; ++i) {
             const int64_t t = elems[i].task;
             const int64_t lin = t * M + ar[t];
@@ -255,6 +273,8 @@ int64_t bk_probe_fold(bk_ctx *c, const int64_t *assign, const int64_t *order,
             c->types[i] = c->task_types[t];
             e_q = e_q + c->eec[lin];
         }
+        csq[s] = cs;
+        rmq[s] = rm;
         eq[s] = e_q;
         fq[s] = f;
     }
@@ -268,8 +288,9 @@ int64_t bk_probe_fold(bk_ctx *c, const int64_t *assign, const int64_t *order,
 }
 
 /*
- * Pass 2: fold the missed elements' utilities per queue, store the new
- * queue states, and fold each row's totals over ascending queue id.
+ * Pass 2: fold the missed elements' utilities per queue (from the
+ * queue's backlog utility), store the new queue states, and fold each
+ * row's totals over ascending queue id.
  * *utility* holds one value per missed element in pass 1's order (it
  * may be NULL when nothing missed); out is (3, N): energy, utility,
  * makespan.
@@ -280,11 +301,11 @@ void bk_fold_insert(bk_ctx *c, const double *utility, double *out, int64_t N)
     const int64_t *len = c->segi;
     const int64_t *miss = c->segi + 2 * (c->seg_cap + 1);
     const int64_t *start = c->segi + 3 * (c->seg_cap + 1);
-    double *uq = c->segf, *eq = c->segf + c->seg_cap;
-    double *fq = c->segf + 2 * c->seg_cap;
+    double *uq = c->segf + 2 * c->seg_cap, *eq = c->segf + 3 * c->seg_cap;
+    double *fq = c->segf + 4 * c->seg_cap;
 
     for (int64_t j = 0; j < n_miss; ++j) {
-        double u_q = 0.0;
+        double u_q = c->backlog[2 * Mq + miss[j] % Mq];
         for (int64_t i = start[j]; i < start[j + 1]; ++i)
             u_q = u_q + utility[i];
         uq[miss[j]] = u_q;

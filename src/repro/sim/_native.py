@@ -35,7 +35,7 @@ from repro.errors import KernelBuildError
 __all__ = ["ABI_VERSION", "CFLAGS", "SOURCE", "load_library", "Context"]
 
 #: Must equal ``BK_ABI_VERSION`` in the C source; checked on every load.
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 SOURCE = Path(__file__).with_name("_batchkernel.c")
 
@@ -61,7 +61,7 @@ class Context(ctypes.Structure):
     ] + [
         (name, ctypes.c_void_p)
         for name in ("qg", "r_sym", "etc", "eec", "arrivals", "task_types",
-                     "keys", "checks", "used", "values", "table_meta",
+                     "backlog", "keys", "checks", "used", "values", "table_meta",
                      "qkey", "segi", "segf", "elems", "elapsed", "types",
                      "counts")
     ]

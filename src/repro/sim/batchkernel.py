@@ -15,13 +15,25 @@ left fold) the finish time of the *j*-th queued task is::
     f_j = max_{i <= j}(a_i - cs_{i-1}) + cs_j
 
 with the running maximum propagating NaN like ``np.maximum``.
-Per-queue utility and energy are sequential left folds in queue order
-starting from ``+0.0``; per-chromosome totals are left folds over
-ascending queue id.  Every fold is queue-content-deterministic — a
-queue's numbers depend only on its own ordered content, never on the
-rest of the batch — which is what makes cached continuation exact:
-results are bit-identical with the cache on, off, across checkpoint
-resume, and across serial/parallel execution.
+Per-queue utility and energy are sequential left folds in queue order;
+per-chromosome totals are left folds over ascending queue id.
+
+Every queue's folds start from its **backlog**: a ``(5, num_queues)``
+plane holding, per queue, the fold state of the work queued ahead of
+the evaluated tasks — the exec-time sum ``cs``, the running maximum
+``rm``, utility, energy and last finish (rows in :data:`STATE_FIELDS`
+order).  The identity backlog ``(0, -inf, 0, 0, -inf)`` is an empty
+queue and reproduces plain folds from ``+0.0``; the online service
+passes the end state of its committed queue prefixes instead, so a
+window folds its free tasks only.  Because each fold is sequential,
+folding a prefix and then continuing from its end state is the same
+computation as folding the concatenated queue.
+
+Every fold is queue-content-deterministic — a queue's numbers depend
+only on its backlog and its own ordered content, never on the rest of
+the batch — which is what makes cached continuation exact: results are
+bit-identical with the cache on, off, across checkpoint resume, and
+across serial/parallel execution.
 :func:`batch_reference_row` restates the same folds as scalar Python
 loops and is the exactness oracle for this kernel
 (``kernel_method="batch-reference"``).  These folds are the
@@ -70,10 +82,15 @@ from repro.errors import ScheduleError
 from repro.sim import _native
 
 __all__ = [
+    "STATE_FIELDS",
     "BatchQueueKernel",
     "QueueStateTable",
     "batch_reference_row",
+    "identity_backlog",
 ]
+
+#: Rows of a backlog / queue end-state plane.
+STATE_FIELDS = ("cs", "rm", "utility", "energy", "finish")
 
 #: Fixed seed for the per-symbol hash words: fingerprints must agree
 #: across processes and resumed runs.  (They never change *results* —
@@ -93,6 +110,21 @@ def _addr(a: np.ndarray) -> int:
     return a.__array_interface__["data"][0]
 
 
+def identity_backlog(num_queues: int) -> np.ndarray:
+    """The ``(5, num_queues)`` fold state of empty queues."""
+    backlog = np.zeros((len(STATE_FIELDS), num_queues), dtype=np.float64)
+    backlog[1] = backlog[4] = -np.inf
+    return backlog
+
+
+def _backlog_of(ev) -> np.ndarray:
+    """*ev*'s ``_backlog``, or the identity when it carries none."""
+    backlog = getattr(ev, "_backlog", None)
+    if backlog is None:
+        return identity_backlog(int(ev._num_queues))
+    return backlog
+
+
 class QueueStateTable:
     """Open-addressing table: queue fingerprint → (utility, energy, finish).
 
@@ -102,8 +134,7 @@ class QueueStateTable:
     exceed half the slots (bounded memory, short probe chains); inserts
     that find no slot within the probe cap are dropped — the cache is lossy by contract, which never changes
     results, only how much work is skipped.  The C passes probe and
-    insert; this object owns the arrays, so a table moves between
-    kernels wholesale.
+    insert; this object owns the arrays.
     """
 
     def __init__(self, n_slots_log2: int = 18) -> None:
@@ -158,9 +189,11 @@ class BatchQueueKernel:
     Bound to one evaluator's precomputed arrays (duck-typed: needs
     ``_etc_flat``, ``_eec_flat``, ``_arrivals``, ``_task_types``,
     ``_tuf_table``, ``_queue_groups``, ``_num_queues``,
-    ``num_machines``, ``num_tasks``).  Construction loads the compiled
-    passes, building them on first use; a failed build raises
-    :class:`~repro.errors.KernelBuildError`.
+    ``num_machines``, ``num_tasks``, and optionally ``_backlog`` — the
+    identity when absent).  Construction loads the compiled passes,
+    building them on first use; a failed build raises
+    :class:`~repro.errors.KernelBuildError`.  The backlog is read once:
+    cached queue states are valid for that backlog only.
 
     Parameters
     ----------
@@ -197,11 +230,13 @@ class BatchQueueKernel:
             np.ascontiguousarray(ev._eec_flat, dtype=np.float64),
             np.ascontiguousarray(ev._arrivals, dtype=np.float64),
             np.ascontiguousarray(ev._task_types, dtype=np.int64),
+            np.array(_backlog_of(ev), dtype=np.float64, order="C"),
         ]
         # The C passes index these arrays unchecked.
         T, M, Mq = self.T, self.M, self.Mq
         if (
-            [a.size for a in self._bound] != [M, T * M, T * M, T * M, T, T]
+            [a.size for a in self._bound]
+            != [M, T * M, T * M, T * M, T, T, len(STATE_FIELDS) * Mq]
             or (M and not 0 <= self.qg.min() <= self.qg.max() < Mq)
         ):
             raise ScheduleError(
@@ -212,7 +247,8 @@ class BatchQueueKernel:
             T=self.T, M=self.M, Mq=self.Mq, use_cache=int(self.use_cache),
         )
         for name, arr in zip(
-            ("qg", "r_sym", "etc", "eec", "arrivals", "task_types"),
+            ("qg", "r_sym", "etc", "eec", "arrivals", "task_types",
+             "backlog"),
             self._bound,
         ):
             setattr(self._ctx, name, _addr(arr))
@@ -240,7 +276,7 @@ class BatchQueueKernel:
         seg, elem = rows * self.Mq, rows * self.T
         self._qkey = np.empty(seg, dtype=np.uint64)
         self._segi = np.empty(4 * (seg + 1), dtype=np.int64)
-        self._segf = np.empty(3 * seg, dtype=np.float64)
+        self._segf = np.empty(len(STATE_FIELDS) * seg, dtype=np.float64)
         self._elems = np.empty(4 * elem, dtype=np.int64)
         self._elapsed = np.empty(elem, dtype=np.float64)
         self._types = np.empty(elem, dtype=np.int64)
@@ -287,68 +323,31 @@ class BatchQueueKernel:
         """Drop all cached queue states."""
         self.queue_table.clear()
 
-    def adopt_state(self, other: "BatchQueueKernel") -> None:
-        """Take over *other*'s cached queue states and counters.
+    def queue_states(
+        self, assignment: np.ndarray, order: np.ndarray
+    ) -> np.ndarray:
+        """End fold state of every queue of one chromosome, ``(5, Mq)``.
 
-        Supports the online service's cross-window evaluator reuse: a
-        window's evaluator is rebuilt over a longer (append-only) trace,
-        but every cached state of the previous kernel remains valid for
-        the new one — so the table transfers wholesale instead of
-        starting cold.  Validity rests on fingerprints being a pure
-        function of the ``(task_index, machine, order_key)`` elements:
-
-        * ``_r_sym`` is a fixed-seed PCG64 draw over a power-of-two
-          range (one 64-bit word per value, no rejection), so a longer
-          stream extends the shorter one; asserted below.
-        * Order keys go through a fixed arithmetic mix.
-        * The check word ``(queue_len << 20) | queue_id`` and the
-          Fibonacci slot hash do not depend on the trace length.
-
-        Raises :class:`~repro.errors.ScheduleError` when the kernels
-        are not compatible (different machines, queue grouping, cache
-        configuration, or a *shrunk* trace).
+        Rows follow :data:`STATE_FIELDS`; a queue the chromosome leaves
+        empty keeps its backlog.  The table is bypassed (it stores no
+        exec-time sums or running maxima) and the reuse counters are
+        left alone.
         """
-        if other is self:
-            return
-        if (
-            other.M != self.M
-            or other.Mq != self.Mq
-            or not np.array_equal(other.qg, self.qg)
-        ):
-            raise ScheduleError(
-                "cannot adopt kernel state across different machine/queue "
-                "configurations"
-            )
-        if other.T > self.T:
-            raise ScheduleError(
-                f"cannot adopt state from a larger trace ({other.T} tasks) "
-                f"into a smaller one ({self.T}); carryover is append-only"
-            )
-        if other.use_cache != self.use_cache:
-            raise ScheduleError(
-                "cannot adopt kernel state across different cache "
-                "configurations (use_cache must match)"
-            )
-        # Prefix stability of the hash stream — cheap (a vectorized
-        # compare over at most T*M words) and load-bearing: a numpy
-        # that re-derived bounded draws differently would silently
-        # corrupt every adopted fingerprint.
-        n_sym = other.T * other.M
-        if not np.array_equal(self._r_sym[:n_sym], other._r_sym[:n_sym]):
-            raise ScheduleError(
-                "per-symbol hash stream is not prefix-stable; refusing to "
-                "adopt cached queue states"
-            )
-        self.queue_table = other.queue_table
-        self._bind_table()
-        self.elements_total = other.elements_total
-        self.elements_reused = other.elements_reused
+        a = np.asarray(assignment, dtype=np.int64)[None, :]
+        o = np.asarray(order, dtype=np.int64)[None, :]
+        self._ctx.use_cache = 0
+        try:
+            self._run(a, o)
+        finally:
+            self._ctx.use_cache = int(self.use_cache)
+        segf = self._segf.reshape(len(STATE_FIELDS), -1)
+        return segf[:, : self.Mq].copy()
 
     # -- core --------------------------------------------------------------
 
-    def _evaluate(
-        self, assignments: np.ndarray, orders: np.ndarray, want_finish: bool
-    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    def _run(self, assignments: np.ndarray, orders: np.ndarray) -> np.ndarray:
+        """Both C passes over one batch; ``(3, N)`` energy, utility,
+        makespan."""
         assignments = np.ascontiguousarray(assignments, dtype=np.int64)
         orders = np.ascontiguousarray(orders, dtype=np.int64)
         N, T = assignments.shape
@@ -375,7 +374,13 @@ class BatchQueueKernel:
             u_addr = _addr(u)
         out = np.empty((3, N), dtype=np.float64)
         self._lib.bk_fold_insert(self._ctx_addr, u_addr, _addr(out), N)
+        return out
 
+    def _evaluate(
+        self, assignments: np.ndarray, orders: np.ndarray, want_finish: bool
+    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        out = self._run(assignments, orders)
+        N, T = out.shape[1], self.T
         hits, misses, hit_elems, queues, _ = self._counts.tolist()
         table = self.queue_table
         table.hits += hits
@@ -397,28 +402,33 @@ class BatchQueueKernel:
 
 def batch_reference_row(
     ev, assignment: np.ndarray, order: np.ndarray
-) -> tuple[float, float, np.ndarray]:
+) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Scalar oracle for the batch kernel's exact fold semantics.
 
-    Returns ``(energy, utility, per-task finish times)`` for one
-    chromosome, computing every queue with plain Python left folds.
-    The TUF table is evaluated through the same vectorized
-    :meth:`~repro.utility.vectorized.TUFTable.evaluate` — it is
-    elementwise, so composition cannot change its values — keeping the
-    oracle honest about the recurrence while staying usable in tests.
+    Returns ``(energy, utility, per-task finish times, queue end
+    states)`` for one chromosome, computing every queue with plain
+    Python left folds that start from *ev*'s backlog (the identity when
+    it carries none).  The end states are a ``(5, num_queues)`` plane in
+    :data:`STATE_FIELDS` order — the backlog a continuation of these
+    queues would start from.  The TUF table is evaluated through the
+    same vectorized :meth:`~repro.utility.vectorized.TUFTable.evaluate`
+    — it is elementwise, so composition cannot change its values —
+    keeping the oracle honest about the recurrence while staying usable
+    in tests.
     """
     T = ev.num_tasks
     qg = ev._queue_groups
+    states = np.array(_backlog_of(ev), dtype=np.float64)
     queues: dict[int, list[tuple[int, int]]] = {}
     for t in range(T):
         queues.setdefault(int(qg[assignment[t]]), []).append(
             (int(order[t]), t)
         )
     finish = np.empty(T, dtype=np.float64)
-    for items in queues.values():
+    for qid, items in queues.items():
         items.sort()
-        cs = 0.0
-        rm = -np.inf
+        cs = float(states[0, qid])
+        rm = float(states[1, qid])
         for o, t in items:
             m = int(assignment[t])
             e = float(ev._etc_flat[t * ev.num_machines + m])
@@ -428,20 +438,22 @@ def batch_reference_row(
             key = a - cs_prev
             rm = max(rm, key)
             finish[t] = rm + cs
+        states[0, qid] = cs
+        states[1, qid] = rm
+        states[4, qid] = finish[items[-1][1]]
     elapsed = finish - ev._arrivals
     task_u = ev._tuf_table.evaluate(ev._task_types, elapsed)
     utility = 0.0
     energy = 0.0
     for qid in range(ev._num_queues):
-        items = queues.get(qid)
-        if not items:
-            continue
-        u_q = 0.0
-        e_q = 0.0
-        for o, t in items:
+        u_q = float(states[2, qid])
+        e_q = float(states[3, qid])
+        for o, t in queues.get(qid, ()):
             m = int(assignment[t])
             u_q = u_q + float(task_u[t])
             e_q = e_q + float(ev._eec_flat[t * ev.num_machines + m])
+        states[2, qid] = u_q
+        states[3, qid] = e_q
         utility = utility + u_q
         energy = energy + e_q
-    return energy, utility, finish
+    return energy, utility, finish, states

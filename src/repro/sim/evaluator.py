@@ -19,7 +19,10 @@ ascending queue id.  Two kernels compute it:
   fallback when no C compiler is available.
 
 Both return bit-identical objectives, and :meth:`ScheduleEvaluator.evaluate`
-uses the oracle for the full per-task result in either mode.
+uses the oracle for the full per-task result in either mode.  Both fold
+every machine queue from the evaluator's *backlog* (see
+:mod:`repro.sim.batchkernel`): the identity by default, the committed
+queue prefixes' end state in the online service.
 """
 
 from __future__ import annotations
@@ -80,6 +83,10 @@ class EvaluationResult:
         ``(T,)`` per-task utility earned.
     task_energies:
         ``(T,)`` per-task energy (joules).
+    queue_states:
+        ``(5, num_queues)`` end fold state of every machine queue (rows
+        in :data:`~repro.sim.batchkernel.STATE_FIELDS` order): the
+        backlog a continuation of these queues starts from.
     """
 
     energy: float
@@ -88,6 +95,7 @@ class EvaluationResult:
     completion_times: FloatArray
     task_utilities: FloatArray
     task_energies: FloatArray
+    queue_states: FloatArray
 
     @property
     def makespan(self) -> float:
@@ -129,6 +137,25 @@ class EvaluatorArrays:
     eec_rows: FloatArray
     feasible_rows: BoolArray
     tuf_table: TUFTable
+
+    @classmethod
+    def gather(
+        cls,
+        system: SystemModel,
+        task_types: IntArray,
+        tuf_table: Optional[TUFTable] = None,
+    ) -> "EvaluatorArrays":
+        """The rows of *task_types*, with *tuf_table* (built from
+        *system* when ``None``) — what an evaluator computes itself."""
+        return cls(
+            etc_rows=system.etc_task_machine[task_types],
+            eec_rows=system.eec_task_machine[task_types],
+            feasible_rows=system.feasible_task_machine[task_types],
+            tuf_table=(
+                tuf_table if tuf_table is not None
+                else TUFTable.from_system(system)
+            ),
+        )
 
 
 class ScheduleEvaluator:
@@ -189,6 +216,12 @@ class ScheduleEvaluator:
         the system's task types need not carry utility functions (the
         table is taken as supplied).  Results are bit-identical to a
         self-computed evaluator because the arrays are the same values.
+    backlog:
+        Optional ``(5, num_queues)`` fold state every machine queue
+        starts from (rows in :data:`~repro.sim.batchkernel.STATE_FIELDS`
+        order), e.g. the end state of committed work queued ahead of
+        this trace's tasks.  ``None`` (default) is the identity: empty
+        queues.  Fixed for the evaluator's life.
     """
 
     def __init__(
@@ -202,6 +235,7 @@ class ScheduleEvaluator:
         kernel_method: str = DEFAULT_KERNEL_METHOD,
         obs: Optional["RunContext"] = None,
         precomputed: Optional[EvaluatorArrays] = None,
+        backlog: Optional[FloatArray] = None,
     ) -> None:
         trace.validate_against(system.num_task_types)
         if kernel_method not in KERNEL_METHODS:
@@ -224,23 +258,19 @@ class ScheduleEvaluator:
 
         self._task_types = trace.task_types
         self._arrivals = trace.arrival_times
-        if precomputed is not None:
-            expected = (self.num_tasks, self.num_machines)
-            if precomputed.etc_rows.shape != expected:
-                raise ScheduleError(
-                    f"precomputed etc_rows shape {precomputed.etc_rows.shape} "
-                    f"does not match (tasks, machines) = {expected}"
-                )
-            self._etc_rows = precomputed.etc_rows
-            self._eec_rows = precomputed.eec_rows
-            self._feasible_rows = precomputed.feasible_rows
-            self._tuf_table = precomputed.tuf_table
-        else:
+        if precomputed is None:
             # Per-task rows of the machine-instance-expanded matrices.
-            self._etc_rows = system.etc_task_machine[self._task_types]
-            self._eec_rows = system.eec_task_machine[self._task_types]
-            self._feasible_rows = system.feasible_task_machine[self._task_types]
-            self._tuf_table = TUFTable.from_system(system)
+            precomputed = EvaluatorArrays.gather(system, self._task_types)
+        expected = (self.num_tasks, self.num_machines)
+        if precomputed.etc_rows.shape != expected:
+            raise ScheduleError(
+                f"precomputed etc_rows shape {precomputed.etc_rows.shape} "
+                f"does not match (tasks, machines) = {expected}"
+            )
+        self._etc_rows = precomputed.etc_rows
+        self._eec_rows = precomputed.eec_rows
+        self._feasible_rows = precomputed.feasible_rows
+        self._tuf_table = precomputed.tuf_table
         # Flat (task, machine) views for the kernel and its oracle (a
         # ravel of a C-contiguous array — the shared-view case — is
         # zero-copy).
@@ -261,6 +291,18 @@ class ScheduleEvaluator:
                 raise ScheduleError("queue ids must be >= 0")
             self._queue_groups = qg.copy()
             self._num_queues = int(qg.max()) + 1
+        self._backlog = None
+        if backlog is not None:
+            from repro.sim.batchkernel import STATE_FIELDS
+
+            bl = np.array(backlog, dtype=np.float64)
+            if bl.shape != (len(STATE_FIELDS), self._num_queues):
+                raise ScheduleError(
+                    f"backlog must have shape ({len(STATE_FIELDS)}, "
+                    f"{self._num_queues}); got {bl.shape}"
+                )
+            bl.setflags(write=False)
+            self._backlog = bl
         self._batch_kernel = None
         if kernel_method == "batch":
             # Imported here so ``import repro`` does not load the
@@ -306,7 +348,7 @@ class ScheduleEvaluator:
                 )
         from repro.sim.batchkernel import batch_reference_row
 
-        energy, utility, finish = batch_reference_row(
+        energy, utility, finish, states = batch_reference_row(
             self, assignment, allocation.scheduling_order
         )
         elapsed = finish - self._arrivals
@@ -317,6 +359,7 @@ class ScheduleEvaluator:
             completion_times=finish,
             task_utilities=self._tuf_table.evaluate(self._task_types, elapsed),
             task_energies=self._eec_rows[self._row_index, assignment],
+            queue_states=states,
         )
 
     def objectives(self, allocation: ResourceAllocation) -> tuple[float, float]:
@@ -338,22 +381,22 @@ class ScheduleEvaluator:
         if self._batch_kernel is not None:
             self._batch_kernel.clear()
 
-    def adopt_kernel_state(self, other: "ScheduleEvaluator") -> bool:
-        """Carry *other*'s batch-kernel queue-state caches into this one.
+    def queue_states(
+        self, assignment: IntArray, order: IntArray
+    ) -> FloatArray:
+        """End fold state of every machine queue for one chromosome.
 
-        Cross-window evaluator reuse (see :mod:`repro.service`): when a
-        streaming trace grows append-only, a new evaluator over the
-        longer trace can adopt the previous evaluator's cached queue
-        states instead of starting cold — committed queue prefixes then
-        hit the content-fingerprint cache immediately.  Returns whether
-        a transfer happened (both evaluators must be in ``"batch"``
-        mode); incompatible kernels raise
-        :class:`~repro.errors.ScheduleError`.
+        The ``(5, num_queues)`` plane a continuation of these queues
+        starts from — what :attr:`EvaluationResult.queue_states` holds —
+        computed by the batch kernel (``"batch"``) or its oracle
+        (``"batch-reference"``), bit-identically.  The kernel path skips
+        the per-task result, so it stays cheap on long traces.
         """
-        if self._batch_kernel is None or other._batch_kernel is None:
-            return False
-        self._batch_kernel.adopt_state(other._batch_kernel)
-        return True
+        if self._batch_kernel is not None:
+            return self._batch_kernel.queue_states(assignment, order)
+        from repro.sim.batchkernel import batch_reference_row
+
+        return batch_reference_row(self, assignment, order)[3]
 
     # -- population batch ----------------------------------------------------
 
@@ -467,7 +510,7 @@ class ScheduleEvaluator:
         energies = np.empty(N, dtype=np.float64)
         utilities = np.empty(N, dtype=np.float64)
         for i in range(N):
-            energies[i], utilities[i], _ = batch_reference_row(
+            energies[i], utilities[i], _, _ = batch_reference_row(
                 self, assignments[i], orders[i]
             )
         return energies, utilities

@@ -71,7 +71,7 @@ class TestDispatchService:
         busy = [r for r in reports if not r.idle]
         assert len(busy) >= 3
         # Window 0 is necessarily cold; later windows carry seeds and
-        # (between compactions) adopt kernel state.
+        # start from the ledger's carried queue backlog.
         assert busy[0].warm_seeds == 0 and not busy[0].kernel_adopted
         assert all(r.warm_seeds > 0 for r in busy[1:])
         assert any(r.kernel_adopted for r in busy[1:])

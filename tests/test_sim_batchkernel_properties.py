@@ -1,22 +1,29 @@
 """Differential property tests: batch kernel vs. its scalar oracle.
 
 Hypothesis draws small systems (including DVFS-style queue groups that
-put several machines on one sequential queue), traces and sequences of
-operations on :class:`~repro.sim.batchkernel.BatchQueueKernel`:
-evaluations of batches that reuse, mutate and invent rows with
-duplicate, negative and ≥2⁴⁰ order keys, interleaved with ``clear()``,
-``adopt_state()`` hand-overs and inserts into a 16-slot table that is
-under constant pressure.  After every evaluation the energies,
-utilities and makespans of a caching and a non-caching kernel must
-equal :func:`~repro.sim.batchkernel.batch_reference_row` row for row,
-bit for bit.
+put several machines on one sequential queue), traces, queue backlogs
+(the identity or random fold states every queue starts from) and
+sequences of operations on
+:class:`~repro.sim.batchkernel.BatchQueueKernel`: evaluations of
+batches that reuse, mutate and invent rows with duplicate, negative and
+≥2⁴⁰ order keys, interleaved with ``clear()``, ``queue_states()``
+reads and inserts into a 16-slot table that is under constant pressure.
+After every evaluation the energies, utilities and makespans of a
+caching and a non-caching kernel must equal
+:func:`~repro.sim.batchkernel.batch_reference_row` row for row, bit for
+bit, and so must every queue end state.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.model.system import SystemModel
-from repro.sim.batchkernel import BatchQueueKernel, batch_reference_row
+from repro.sim.batchkernel import (
+    STATE_FIELDS,
+    BatchQueueKernel,
+    batch_reference_row,
+    identity_backlog,
+)
 from repro.sim.evaluator import ScheduleEvaluator
 from repro.utility.presets import assign_presets
 from repro.workload.trace import Trace
@@ -28,6 +35,25 @@ ORDER_KEYS = st.one_of(
     st.integers(-(2**62), 2**62),
     st.integers(2**40, 2**40 + 3),
 )
+
+
+FOLD_VALUES = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def backlogs(draw, num_queues):
+    """``None`` (the identity) or a plane of per-queue fold states, each
+    queue either empty or carrying arbitrary finite prior work."""
+    if draw(st.booleans()):
+        return None
+    backlog = identity_backlog(num_queues)
+    for q in range(num_queues):
+        if draw(st.booleans()):
+            backlog[:, q] = draw(st.lists(
+                FOLD_VALUES, min_size=len(STATE_FIELDS),
+                max_size=len(STATE_FIELDS),
+            ))
+    return backlog
 
 
 @st.composite
@@ -53,9 +79,11 @@ def evaluators(draw):
         queue_groups = draw(
             st.lists(st.integers(0, M - 1), min_size=M, max_size=M)
         )
+    num_queues = max(queue_groups) + 1 if queue_groups else M
     return ScheduleEvaluator(
         system, trace, check_feasibility=False, queue_groups=queue_groups,
         kernel_method="batch-reference",
+        backlog=draw(backlogs(num_queues)),
     )
 
 
@@ -91,11 +119,12 @@ def assert_matches_oracle(ev, kernel, assignments, orders, want_finish):
     else:
         e, u = kernel.evaluate_population(assignments, orders)
     for i, (a, o) in enumerate(zip(assignments, orders)):
-        energy, utility, finish = batch_reference_row(ev, a, o)
+        energy, utility, _, states = batch_reference_row(ev, a, o)
         assert e[i] == energy
         assert u[i] == utility
         if want_finish:
-            assert f[i] == finish.max()
+            # A queue left empty keeps its backlog's last finish.
+            assert f[i] == states[4].max()
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,16 +137,19 @@ def test_kernel_matches_oracle_under_interleaved_operations(ev, data):
     cached, uncached = fresh(True), fresh(False)
     pool: list = []
     for op in data.draw(st.lists(
-        st.sampled_from(["eval", "eval", "eval", "clear", "adopt"]),
+        st.sampled_from(["eval", "eval", "eval", "clear", "states"]),
         min_size=1, max_size=8,
     )):
         if op == "clear":
             cached.clear()
-        elif op == "adopt":
-            successor = fresh(True)
-            successor.adopt_state(cached)
-            assert successor.stats["entries"] == cached.stats["entries"]
-            cached = successor
+        elif op == "states":
+            assignments, orders = draw_batch(data, ev, pool)
+            expected = batch_reference_row(ev, assignments[0], orders[0])[3]
+            for kernel in (cached, uncached):
+                before = kernel.stats
+                states = kernel.queue_states(assignments[0], orders[0])
+                np.testing.assert_array_equal(states, expected)
+                assert kernel.stats == before
         else:
             assignments, orders = draw_batch(data, ev, pool)
             want_finish = data.draw(st.booleans())
