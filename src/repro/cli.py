@@ -93,10 +93,9 @@ def _obs_from_args(args: argparse.Namespace, **fields):
 
 
 def _flush_obs(obs) -> None:
+    """Write the final snapshot (spans and events are already on disk)."""
     if obs is not None:
-        out = obs.flush()
-        if out is not None:
-            print(f"observability artifacts: {out}")
+        print(f"observability artifacts: {obs.flush()}")
 
 
 def _cmd_tables(_args: argparse.Namespace) -> int:

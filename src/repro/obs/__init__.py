@@ -10,9 +10,10 @@ checkpoints stay bit-identical with it on or off.
 Layout:
 
 * :mod:`repro.obs.context` — :class:`RunContext` (the facade all layers
-  accept) and the shared :data:`NULL_CONTEXT`;
-* :mod:`repro.obs.trace` — :class:`Span` / :class:`Tracer`, JSONL
-  export, text flame summary;
+  accept, streaming every channel to its directory) and the shared
+  :data:`NULL_CONTEXT`;
+* :mod:`repro.obs.trace` — the :class:`Tracer` (one finished span tree
+  appended at a time) and the text flame summary;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters /
   gauges / histograms with JSON and Prometheus-text exporters;
 * :mod:`repro.obs.events` — leveled structured :class:`EventLog`;
@@ -20,8 +21,8 @@ Layout:
 * :mod:`repro.obs.report` — the ``repro-analyze trace`` summary
   renderer;
 * :mod:`repro.obs.distributed` — picklable :class:`TraceContext` /
-  :class:`WorkerTelemetryConfig` propagation plus the crash-safe
-  per-worker :class:`WorkerTelemetry` sink;
+  :class:`WorkerTelemetryConfig` propagation plus the per-worker
+  :class:`WorkerTelemetry` sink;
 * :mod:`repro.obs.collect` — :func:`merge_obs_dir`, folding worker
   sinks and the coordinator trace into one causally-linked trace;
 * :mod:`repro.obs.watch` — the live ``repro-analyze grid watch``
@@ -42,13 +43,12 @@ from repro.obs.events import EventLog
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.report import trace_report
 from repro.obs.schema import check_run_dir, validate_run_dir
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import Tracer
 
 __all__ = [
     "RunContext",
     "NULL_CONTEXT",
     "Tracer",
-    "Span",
     "MetricsRegistry",
     "Counter",
     "Gauge",

@@ -186,7 +186,7 @@ def merge_obs_dir(
     ``<obs_dir>/merged/``) and returns its path; returns ``None`` when
     there are no worker directories to merge (serial or dark run).
     Raises :class:`~repro.errors.ObservabilityError` when *obs_dir*
-    itself is not a flushed observability directory.
+    itself is not an observability directory.
     """
     obs_dir = Path(obs_dir)
     workers = worker_dirs(obs_dir)

@@ -2,17 +2,24 @@
 
 A :class:`RunContext` bundles the three telemetry channels — tracer,
 metrics registry, event log — with run identity (run id, dataset, seed,
-population label, ...) and a destination directory.  Every instrumented
-layer (`NSGA2`, the evaluator, the checkpoint store, the runner, the
-fault harness) accepts one and treats it uniformly:
+population label, ...) and the directory they stream to.  Every
+instrumented layer (`NSGA2`, the evaluator, the checkpoint store, the
+runner, the fault harness, the dispatch service) accepts one and treats
+it uniformly:
 
 * **disabled** (the default, :data:`NULL_CONTEXT`): every hook is a
   no-op behind a single ``if obs.enabled`` predicate, so the hot loop
   pays one branch and nothing else — the zero-overhead-by-default
   contract asserted by the benchmark's observability budget;
-* **enabled**: spans/metrics/events accumulate in memory and are
-  flushed to ``obs_dir`` as ``trace.jsonl`` / ``events.jsonl`` /
-  ``metrics.json`` / ``metrics.prom`` / ``meta.json``.
+* **enabled**: the directory holds the five ``repro.obs/1`` files from
+  the moment the context exists (``meta.json`` — run identity and clock
+  anchors — never changes afterwards).  Events append as they are
+  emitted; finished spans append one complete tree at a time, whenever
+  the open-span stack empties; ``metrics.json`` / ``metrics.prom`` are
+  rewritten atomically at creation and after every tree.  A process
+  killed at any point leaves a schema-valid directory holding
+  everything up to its last finished tree — the same rule for the
+  coordinator, the dispatch service and every pool worker.
 
 Determinism contract: nothing in this module draws from NumPy RNG or
 mutates any stochastic stream; enabling observability changes *only*
@@ -22,6 +29,7 @@ asserted by ``tests/test_obs_integration.py``.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import sys
@@ -45,6 +53,9 @@ class _NullSpan:
 
     __slots__ = ()
 
+    def set(self, **attrs) -> None:
+        return None
+
     def __enter__(self) -> "_NullSpan":
         return self
 
@@ -53,6 +64,13 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
+
+
+def _replace(path: Path, text: str) -> None:
+    """Rewrite *path* atomically (same-directory temp + ``os.replace``)."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
 class RunContext:
@@ -72,6 +90,8 @@ class RunContext:
     run_id:
         Caller-chosen or wall-clock/pid-derived identifier (never
         RNG-derived — observability must not touch seeded streams).
+    obs_dir:
+        The directory every channel streams to.
     fields:
         Run-scoped identity merged into every event (dataset, seed,
         label, generation, ...).
@@ -79,38 +99,52 @@ class RunContext:
         The three channels (shared, not copied, by :meth:`bind`).
     """
 
+    enabled = True
+
     def __init__(
-        self,
-        *,
-        enabled: bool,
-        run_id: str = "",
-        level: str = "info",
-        obs_dir: Optional[Path] = None,
-        fields: Optional[dict] = None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        events: Optional[EventLog] = None,
+        self, obs_dir: Path, *, run_id: str, level: str, fields: dict
     ) -> None:
-        self.enabled = enabled
         self.run_id = run_id
         self.level = level
         self.obs_dir = obs_dir
-        self.fields = dict(fields or {})
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.events = events if events is not None else EventLog(level=level)
+        self.fields = fields
+        obs_dir.mkdir(parents=True, exist_ok=True)
+        # One epoch for both channels: the monotonic reading every span
+        # and event timestamp is relative to, and the wall-clock instant
+        # it corresponds to — what the collector aligns processes with.
+        epoch = time.perf_counter()
+        meta = {
+            "format": OBS_FORMAT,
+            "run_id": run_id,
+            "level": level,
+            "fields": fields,
+            "clock": {"monotonic_s": epoch, "unix_s": time.time()},
+        }
+        _replace(
+            obs_dir / "meta.json",
+            json.dumps(meta, indent=2, allow_nan=False) + "\n",
+        )
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer(
+            obs_dir / "trace.jsonl", epoch_s=epoch,
+            on_tree=self._write_snapshot,
+        )
+        self.events = EventLog(
+            obs_dir / "events.jsonl", level=level, epoch_s=epoch
+        )
+        self._write_snapshot()
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def create(
         cls,
-        obs_dir: Optional[Union[str, Path]] = None,
+        obs_dir: Union[str, Path],
         run_id: Optional[str] = None,
         level: str = "info",
         **fields,
     ) -> "RunContext":
-        """An enabled context writing to *obs_dir* (``None``: in-memory).
+        """An enabled context streaming to *obs_dir* (created now).
 
         *level* gates both the event log and per-generation stage spans
         (``debug`` records one span per stage per generation; ``info``
@@ -124,13 +158,7 @@ class RunContext:
             # Wall clock + pid, not RNG: ids must never consume from any
             # seeded stream.
             run_id = f"run-{int(time.time())}-{os.getpid()}"
-        return cls(
-            enabled=True,
-            run_id=run_id,
-            level=level,
-            obs_dir=None if obs_dir is None else Path(obs_dir),
-            fields=fields,
-        )
+        return cls(Path(obs_dir), run_id=run_id, level=level, fields=fields)
 
     @classmethod
     def disabled(cls) -> "RunContext":
@@ -141,23 +169,14 @@ class RunContext:
         """A view of this context with extra run-scoped *fields*.
 
         Channels are shared (spans/metrics/events all land in the same
-        buffers); only the identity fields differ.  Binding the disabled
+        files); only the identity fields differ.  Binding the disabled
         context returns it unchanged.
         """
         if not self.enabled:
             return self
-        merged = dict(self.fields)
-        merged.update(fields)
-        return RunContext(
-            enabled=True,
-            run_id=self.run_id,
-            level=self.level,
-            obs_dir=self.obs_dir,
-            fields=merged,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            events=self.events,
-        )
+        view = copy.copy(self)
+        view.fields = {**self.fields, **fields}
+        return view
 
     # -- channel facade ------------------------------------------------------
 
@@ -167,7 +186,8 @@ class RunContext:
         return self.enabled and self.level == "debug"
 
     def span(self, name: str, **attrs):
-        """Context manager timing a block (no-op when disabled)."""
+        """Context manager timing a block (no-op when disabled); its
+        ``set(**attrs)`` adds attributes before the span closes."""
         if not self.enabled:
             return _NULL_SPAN
         return self.tracer.span(name, **attrs)
@@ -206,48 +226,28 @@ class RunContext:
 
     # -- persistence ---------------------------------------------------------
 
-    def flush(self) -> Optional[Path]:
-        """Write all channels to ``obs_dir``; returns the directory.
+    def _write_snapshot(self) -> None:
+        metrics = self.metrics
+        _replace(
+            self.obs_dir / "metrics.json",
+            json.dumps(metrics.as_dict(), allow_nan=False) + "\n",
+        )
+        _replace(self.obs_dir / "metrics.prom", metrics.to_prometheus_text())
 
-        Idempotent (later flushes overwrite with the fuller state); a
-        context created without an ``obs_dir`` flushes nowhere and
-        returns ``None``.
+    def flush(self) -> Optional[Path]:
+        """Write the final metrics snapshot; returns the directory.
+
+        Spans and events are already on disk.  A parallel run with
+        worker telemetry leaves per-worker sub-directories under
+        ``workers/``; flushing folds them and this coordinator trace
+        into one causally-linked ``merged/`` view.  Idempotent; the
+        disabled context returns ``None``.
         """
-        if not self.enabled or self.obs_dir is None:
+        if not self.enabled:
             return None
         self.sample_rss()
+        self._write_snapshot()
         out = self.obs_dir
-        out.mkdir(parents=True, exist_ok=True)
-        self.tracer.to_jsonl(out / "trace.jsonl")
-        self.events.to_jsonl(out / "events.jsonl")
-        self.metrics.to_json(out / "metrics.json")
-        (out / "metrics.prom").write_text(self.metrics.to_prometheus_text())
-        (out / "meta.json").write_text(
-            json.dumps(
-                {
-                    "format": OBS_FORMAT,
-                    "run_id": self.run_id,
-                    "level": self.level,
-                    "fields": self.fields,
-                    "spans": len(self.tracer),
-                    "events": len(self.events),
-                    # Per-process clock anchors: the monotonic reading
-                    # all span/event timestamps are relative to, and
-                    # the wall-clock instant it corresponds to — what
-                    # the collector uses to align worker timelines.
-                    "clock": {
-                        "monotonic_s": self.tracer.epoch_s,
-                        "unix_s": self.tracer.anchor_unix_s,
-                    },
-                },
-                indent=2,
-                allow_nan=False,
-            )
-            + "\n"
-        )
-        # A parallel run with worker telemetry leaves per-worker
-        # sub-directories under ``workers/``; fold them and this
-        # coordinator trace into one causally-linked ``merged/`` view.
         if (out / "workers").is_dir():
             from repro.obs.collect import merge_obs_dir
 
@@ -255,5 +255,13 @@ class RunContext:
         return out
 
 
+def _disabled_context() -> RunContext:
+    ctx = object.__new__(RunContext)
+    ctx.enabled = False
+    ctx.run_id, ctx.level, ctx.obs_dir, ctx.fields = "", "info", None, {}
+    ctx.tracer = ctx.metrics = ctx.events = None
+    return ctx
+
+
 #: The process-wide disabled context: every hook no-ops behind one branch.
-NULL_CONTEXT = RunContext(enabled=False)
+NULL_CONTEXT = _disabled_context()

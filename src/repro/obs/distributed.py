@@ -1,9 +1,9 @@
 """Cross-process telemetry: context propagation + the worker-side sink.
 
 The coordinator's :class:`~repro.obs.context.RunContext` cannot cross a
-process boundary (it holds live buffers and file handles by design), so
-parallel workers were a telemetry black hole.  This module closes it
-with two picklable carriers and one worker-side sink:
+process boundary (it holds its open-span stack and metrics registry),
+so each pool worker streams to a sink of its own.  This module carries
+what a worker needs across the boundary and opens that sink:
 
 * :class:`TraceContext` — the causal identity of a unit of work
   (run / grid / cell / attempt / worker ids).  Frozen, tiny, and
@@ -18,14 +18,13 @@ with two picklable carriers and one worker-side sink:
   observability is off — workers then pay exactly one ``is None``
   branch per cell (the zero-overhead contract).
 * :class:`WorkerTelemetry` — the per-worker sink a pool worker opens
-  once from its config.  It wraps a normal ``RunContext`` writing to
-  ``<obs_dir>/workers/<worker-id>/`` in the standard ``repro.obs/1``
-  layout, but persists **incrementally and crash-safely**: finished
-  spans/events are appended (``O_APPEND``, whole lines only) after
-  every cell, and the small ``metrics.json`` / ``meta.json`` rewrites
-  go through a same-directory temp file + ``os.replace``.  A worker
-  SIGKILL'd mid-cell therefore leaves a schema-valid directory holding
-  everything up to its last completed cell.
+  once from its config: worker identity plus a normal ``RunContext``
+  streaming to ``<obs_dir>/workers/<worker-id>/`` in the standard
+  ``repro.obs/1`` layout.  The engine runs every cell inside one
+  ``cell.run`` span, so each cell is one finished tree and is on disk
+  the moment the cell ends; a worker SIGKILL'd mid-cell leaves a
+  schema-valid directory holding everything up to its last completed
+  cell.
 
 Determinism contract: nothing here consumes from any seeded NumPy
 stream.  Worker ids derive from pid + ``os.urandom`` (pids are recycled
@@ -38,13 +37,12 @@ monotonic-clock relative with wall-clock *anchors* recorded only in
 from __future__ import annotations
 
 import binascii
-import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from repro.obs.context import OBS_FORMAT, RunContext
+from repro.obs.context import RunContext
 
 __all__ = [
     "WORKERS_DIR_NAME",
@@ -133,12 +131,8 @@ class WorkerTelemetryConfig:
     def from_context(
         cls, obs: Optional[RunContext], grid_id: str = ""
     ) -> Optional["WorkerTelemetryConfig"]:
-        """The config for *obs*, or ``None`` when telemetry is off.
-
-        Worker telemetry needs a destination directory: an enabled but
-        in-memory context (no ``obs_dir``) stays coordinator-only.
-        """
-        if obs is None or not obs.enabled or obs.obs_dir is None:
+        """The config for *obs*, or ``None`` when telemetry is off."""
+        if obs is None or not obs.enabled:
             return None
         return cls(
             root=str(Path(obs.obs_dir) / WORKERS_DIR_NAME),
@@ -153,12 +147,11 @@ class WorkerTelemetryConfig:
 
 
 class WorkerTelemetry:
-    """One pool worker's crash-safe observability sink.
+    """One pool worker's observability sink.
 
     ``obs`` is a real :class:`~repro.obs.context.RunContext`, so the
     cell body's evaluator/algorithm instrumentation works unchanged in
-    a worker; :meth:`checkpoint` persists whatever finished since the
-    last call.
+    a worker and persists by the same streaming rule as every context.
     """
 
     def __init__(self, config: WorkerTelemetryConfig) -> None:
@@ -176,30 +169,11 @@ class WorkerTelemetry:
         fields = {"worker": pid, "worker_id": self.worker_id}
         if config.grid_id:
             fields["grid_id"] = config.grid_id
-        self.obs = RunContext(
-            enabled=True,
-            run_id=f"{config.run_id}/{self.worker_id}",
-            level=config.level,
-            obs_dir=self.dir,
-            fields=fields,
+        self.obs = RunContext.create(
+            self.dir, run_id=f"{config.run_id}/{self.worker_id}",
+            level=config.level, **fields,
         )
-        # Spans and events each stamp times against their own epoch
-        # sampled at construction (microseconds apart).  Pin the event
-        # log to the tracer's epoch so the worker's two channels share
-        # exactly one timeline — the collector then needs only the
-        # tracer anchor to align both.
-        self.obs.events._epoch = self.obs.tracer.epoch_s
-        self._flushed_spans = 0
-        self._flushed_events = 0
         self._heartbeat_warned = False
-        self.dir.mkdir(parents=True, exist_ok=True)
-        # Eager creation: a worker killed before its first checkpoint
-        # still leaves a complete, schema-valid (if empty) directory.
-        (self.dir / "trace.jsonl").touch()
-        (self.dir / "events.jsonl").touch()
-        self._write_small_files()
-
-    # -- recording helpers ---------------------------------------------------
 
     def cell_context(self, key, attempt: int) -> TraceContext:
         """The per-cell child context for (*key*, *attempt*)."""
@@ -224,77 +198,3 @@ class WorkerTelemetry:
                 cell=key if isinstance(key, (int, str)) else str(key),
                 attempt=attempt, error=f"{type(exc).__name__}: {exc}",
             )
-
-    # -- crash-safe persistence ----------------------------------------------
-
-    def checkpoint(self) -> None:
-        """Persist everything recorded since the last checkpoint.
-
-        New spans/events are appended as complete JSONL lines in one
-        ``O_APPEND`` write per file; the small ``metrics.json`` /
-        ``metrics.prom`` / ``meta.json`` snapshots are rewritten
-        atomically (temp + ``os.replace``) so no reader — collector or
-        live dashboard — can observe a torn file.
-        """
-        spans = self.obs.tracer.spans
-        if len(spans) > self._flushed_spans:
-            self._append_lines(
-                self.dir / "trace.jsonl",
-                [s.to_doc() for s in spans[self._flushed_spans:]],
-            )
-            self._flushed_spans = len(spans)
-        events = self.obs.events.events
-        if len(events) > self._flushed_events:
-            self._append_lines(
-                self.dir / "events.jsonl", events[self._flushed_events:]
-            )
-            self._flushed_events = len(events)
-        self._write_small_files()
-
-    @staticmethod
-    def _append_lines(path: Path, docs: list) -> None:
-        data = "".join(
-            json.dumps(doc, allow_nan=False) + "\n" for doc in docs
-        ).encode("utf-8")
-        fd = os.open(str(path), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            os.write(fd, data)
-        finally:
-            os.close(fd)
-
-    @staticmethod
-    def _replace(path: Path, text: str) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
-
-    def _write_small_files(self) -> None:
-        obs = self.obs
-        self._replace(
-            self.dir / "metrics.json",
-            json.dumps(obs.metrics.as_dict(), indent=2, allow_nan=False)
-            + "\n",
-        )
-        self._replace(
-            self.dir / "metrics.prom", obs.metrics.to_prometheus_text()
-        )
-        self._replace(
-            self.dir / "meta.json",
-            json.dumps(
-                {
-                    "format": OBS_FORMAT,
-                    "run_id": obs.run_id,
-                    "level": obs.level,
-                    "fields": obs.fields,
-                    "spans": self._flushed_spans,
-                    "events": self._flushed_events,
-                    "clock": {
-                        "monotonic_s": obs.tracer.epoch_s,
-                        "unix_s": obs.tracer.anchor_unix_s,
-                    },
-                },
-                indent=2,
-                allow_nan=False,
-            )
-            + "\n",
-        )

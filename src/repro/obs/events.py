@@ -1,15 +1,15 @@
-"""Leveled structured event log with a JSONL export.
+"""Leveled structured event log streamed to a JSONL file.
 
 Events are the "what happened" channel (run started, retry scheduled,
 fault injected, checkpoint committed) — discrete facts with structured
 fields, complementing spans (where time went) and metrics (how much of
-everything).  Each event carries:
+everything).  Each event is appended as one whole line the moment it is
+emitted and carries:
 
 * ``t_s`` — seconds since the log's epoch (monotonic, not wall clock,
   for the same determinism-safety reasons as the tracer);
 * ``level`` — ``debug`` / ``info`` / ``warning`` / ``error``; events
-  below the configured threshold are dropped at emit time (zero
-  retained cost);
+  below the configured threshold are dropped at emit time;
 * ``event`` — a dotted name (``run.started``, ``retry.scheduled``);
 * ``fields`` — the event's structured payload, merged with the bound
   run-scoped fields of the emitting :class:`~repro.obs.context.RunContext`.
@@ -17,12 +17,12 @@ everything).  Each event carries:
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from repro.errors import ObservabilityError
+from repro.obs.trace import append_jsonl
 
 __all__ = ["LEVELS", "EventLog"]
 
@@ -30,47 +30,39 @@ __all__ = ["LEVELS", "EventLog"]
 LEVELS: dict[str, int] = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
 
+def _severity(level: str) -> int:
+    if level not in LEVELS:
+        raise ObservabilityError(
+            f"unknown event level {level!r}; have {sorted(LEVELS)}"
+        )
+    return LEVELS[level]
+
+
 class EventLog:
-    """Collects one run's events in memory; exports JSONL."""
+    """Appends one run's events to *path* (created empty) as emitted."""
 
     def __init__(
         self,
+        path: Union[str, Path],
         level: str = "info",
+        *,
         clock: Callable[[], float] = time.perf_counter,
+        epoch_s: Optional[float] = None,
     ) -> None:
-        if level not in LEVELS:
-            raise ObservabilityError(
-                f"unknown event level {level!r}; have {sorted(LEVELS)}"
-            )
+        self._threshold = _severity(level)
         self.level = level
-        self._threshold = LEVELS[level]
+        self.path = Path(path)
         self._clock = clock
-        self._epoch = clock()
-        self.events: list[dict] = []
-
-    def __len__(self) -> int:
-        return len(self.events)
+        self.epoch_s = clock() if epoch_s is None else epoch_s
+        self.path.write_bytes(b"")
 
     def emit(self, event: str, level: str = "info", **fields) -> None:
-        """Record *event* unless *level* is below the configured threshold."""
-        severity = LEVELS.get(level)
-        if severity is None:
-            raise ObservabilityError(
-                f"unknown event level {level!r}; have {sorted(LEVELS)}"
-            )
-        if severity < self._threshold:
+        """Append *event* unless *level* is below the configured threshold."""
+        if _severity(level) < self._threshold:
             return
-        self.events.append(
-            {
-                "t_s": self._clock() - self._epoch,
-                "level": level,
-                "event": event,
-                "fields": fields,
-            }
-        )
-
-    def to_jsonl(self, path: Union[str, Path]) -> None:
-        """Write every retained event as one JSON object per line."""
-        with open(path, "w") as fh:
-            for event in self.events:
-                fh.write(json.dumps(event, allow_nan=False) + "\n")
+        append_jsonl(self.path, [{
+            "t_s": self._clock() - self.epoch_s,
+            "level": level,
+            "event": event,
+            "fields": fields,
+        }])

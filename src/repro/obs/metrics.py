@@ -15,10 +15,8 @@ metrics snapshots diff cleanly across runs:
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from repro.errors import ObservabilityError
@@ -320,12 +318,6 @@ class MetricsRegistry:
             name: self._instruments[name].snapshot()
             for name in sorted(self._instruments)
         }
-
-    def to_json(self, path: Union[str, Path]) -> None:
-        """Write the snapshot as a JSON document."""
-        Path(path).write_text(
-            json.dumps(self.as_dict(), indent=2, allow_nan=False) + "\n"
-        )
 
     def to_prometheus_text(self) -> str:
         """The Prometheus text exposition format (series-key-sorted).

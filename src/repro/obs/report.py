@@ -1,7 +1,7 @@
 """Render a recorded observability directory as a human summary.
 
 Backs the ``repro-analyze trace <run-dir>`` CLI: loads the JSONL/JSON
-artifacts a flushed :class:`~repro.obs.context.RunContext` wrote and
+artifacts a :class:`~repro.obs.context.RunContext` streamed and
 renders
 
 * the run header (run id, level, bound identity fields);

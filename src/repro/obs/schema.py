@@ -1,7 +1,7 @@
 """Schema validation for recorded observability artifacts.
 
 Hand-rolled (dependency-free) structural checks over the files a
-flushed :class:`~repro.obs.context.RunContext` leaves behind.  CI runs
+:class:`~repro.obs.context.RunContext` streams to its directory.  CI runs
 these against a tiny instrumented run so a drive-by change to a span or
 event field breaks loudly instead of silently producing trace files the
 ``repro-analyze trace`` CLI can no longer read.
@@ -202,7 +202,7 @@ def validate_meta_file(path: Union[str, Path]) -> list[str]:
 
 
 def validate_run_dir(run_dir: Union[str, Path]) -> list[str]:
-    """All problems across a flushed observability directory."""
+    """All problems across an observability directory."""
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         return [f"{run_dir} is not a directory"]

@@ -1,8 +1,8 @@
-"""Run-scoped tracing: nestable spans with a JSONL export.
+"""Run-scoped tracing: nestable spans streamed to a JSONL file.
 
-A :class:`Tracer` records :class:`Span`\\ s — named, timed regions of
-one run with parent/child structure.  Two recording styles cover every
-call site in the framework:
+A :class:`Tracer` records spans — named, timed regions of one run with
+parent/child structure.  Two recording styles cover every call site in
+the framework:
 
 * ``with tracer.span("checkpoint.save", label=...):`` — wrap a block;
   the span's duration is measured by the tracer and the span nests
@@ -12,59 +12,40 @@ call site in the framework:
   stages with two ``perf_counter`` calls regardless of observability);
   the tracer just files the finished span under the open parent.
 
-All timestamps are seconds relative to the tracer's epoch (its creation
-``perf_counter``), so exported traces are machine-relocatable and never
-consult the wall clock or any RNG — enabling tracing cannot perturb a
-seeded run's stochastic streams.
+Persistence has one rule: a finished span waits in :attr:`Tracer.pending`
+only while an ancestor is still open.  The moment the open-span stack
+empties, the whole finished tree is appended to the trace file in one
+``O_APPEND`` write of whole lines.  The file therefore only ever holds
+complete trees — a process killed mid-tree loses that tree and nothing
+before it — and memory holds at most one tree.
+
+All timestamps are seconds relative to the tracer's epoch, so traces
+are machine-relocatable and never consult the wall clock or any RNG —
+enabling tracing cannot perturb a seeded run's stochastic streams.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
-__all__ = ["Span", "Tracer"]
+__all__ = ["Tracer", "append_jsonl", "render_flame"]
 
 
-class Span:
-    """One finished (or open) timed region of a run."""
-
-    __slots__ = (
-        "span_id", "parent_id", "name", "start_s", "duration_s", "status",
-        "attrs",
-    )
-
-    def __init__(
-        self,
-        span_id: int,
-        parent_id: Optional[int],
-        name: str,
-        start_s: float,
-        duration_s: float,
-        status: str,
-        attrs: dict,
-    ) -> None:
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.start_s = start_s
-        self.duration_s = duration_s
-        self.status = status
-        self.attrs = attrs
-
-    def to_doc(self) -> dict:
-        """JSONL-ready document (one trace-file line)."""
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "status": self.status,
-            "attrs": self.attrs,
-        }
+def append_jsonl(path: Path, docs: Iterable[dict]) -> None:
+    """Append *docs* to *path* as whole JSON lines in one ``O_APPEND``
+    write, so concurrent readers never see a torn line."""
+    data = "".join(
+        json.dumps(doc, allow_nan=False) + "\n" for doc in docs
+    ).encode("utf-8")
+    fd = os.open(str(path), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        os.write(fd, data)
+    finally:
+        os.close(fd)
 
 
 class _OpenSpan:
@@ -77,6 +58,10 @@ class _OpenSpan:
         self._name = name
         self._attrs = attrs
 
+    def set(self, **attrs) -> None:
+        """Add attributes known only once the block has run."""
+        self._attrs.update(attrs)
+
     def __enter__(self) -> "_OpenSpan":
         self._span_id = self._tracer._open()
         self._t0 = self._tracer._clock()
@@ -84,41 +69,41 @@ class _OpenSpan:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         duration = self._tracer._clock() - self._t0
-        self._tracer._close(
-            self._span_id, self._name, self._t0, duration,
+        tracer = self._tracer
+        tracer._stack.pop()
+        tracer._finish(
+            self._span_id, self._name, self._t0 - tracer.epoch_s, duration,
             "error" if exc_type is not None else "ok", self._attrs,
         )
 
 
 class Tracer:
-    """Collects one run's spans in memory; exports JSONL and a summary.
+    """Streams one run's spans to *path*, one finished tree at a time.
 
-    Single-threaded by design (one tracer per process, like the engine
-    and evaluator it instruments); the open-span stack is plain list
-    push/pop.
+    *epoch_s* is the clock reading every timestamp is relative to
+    (default: the clock at construction); *on_tree* runs after each
+    tree is appended.  The file is created empty.  Single-threaded by
+    design (one tracer per process, like the engine and evaluator it
+    instruments); the open-span stack is plain list push/pop.
     """
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
+    def __init__(
+        self,
+        path: Union[str, Path],
+        *,
+        clock: Callable[[], float] = time.perf_counter,
+        epoch_s: Optional[float] = None,
+        on_tree: Optional[Callable[[], None]] = None,
+    ) -> None:
+        self.path = Path(path)
         self._clock = clock
-        self._epoch = clock()
-        #: Wall-clock instant paired with ``_epoch``.  Never used for
-        #: span timestamps (those stay epoch-relative and monotonic);
-        #: it exists so traces from different processes can be aligned
-        #: onto one timeline by the distributed-trace collector.
-        self.anchor_unix_s = time.time()
-        self.spans: list[Span] = []
+        self.epoch_s = clock() if epoch_s is None else epoch_s
+        self._on_tree = on_tree
+        #: Finished spans of the tree still open (span documents).
+        self.pending: list[dict] = []
         self._stack: list[int] = []
         self._next_id = 1
-
-    @property
-    def epoch_s(self) -> float:
-        """The clock reading all span timestamps are relative to."""
-        return self._epoch
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
-    # -- recording -----------------------------------------------------------
+        self.path.write_bytes(b"")
 
     def span(self, name: str, **attrs) -> _OpenSpan:
         """Context manager: measure a block as one span."""
@@ -127,19 +112,12 @@ class Tracer:
     def record(self, name: str, seconds: float, **attrs) -> None:
         """File an externally timed span ending now, under the open parent."""
         end = self._clock()
-        parent = self._stack[-1] if self._stack else None
-        self.spans.append(
-            Span(
-                span_id=self._next_id,
-                parent_id=parent,
-                name=name,
-                start_s=(end - seconds) - self._epoch,
-                duration_s=seconds,
-                status="ok",
-                attrs=attrs,
-            )
-        )
+        span_id = self._next_id
         self._next_id += 1
+        self._finish(
+            span_id, name, (end - seconds) - self.epoch_s, seconds, "ok",
+            attrs,
+        )
 
     def _open(self) -> int:
         span_id = self._next_id
@@ -147,59 +125,37 @@ class Tracer:
         self._stack.append(span_id)
         return span_id
 
-    def _close(
+    def _finish(
         self,
         span_id: int,
         name: str,
-        t0: float,
+        start_s: float,
         duration: float,
         status: str,
         attrs: dict,
     ) -> None:
-        self._stack.pop()
-        parent = self._stack[-1] if self._stack else None
-        self.spans.append(
-            Span(
-                span_id=span_id,
-                parent_id=parent,
-                name=name,
-                start_s=t0 - self._epoch,
-                duration_s=duration,
-                status=status,
-                attrs=attrs,
-            )
-        )
-
-    # -- export --------------------------------------------------------------
-
-    def to_jsonl(self, path: Union[str, Path]) -> None:
-        """Write every finished span as one JSON object per line."""
-        with open(path, "w") as fh:
-            for span in self.spans:
-                fh.write(json.dumps(span.to_doc(), allow_nan=False) + "\n")
-
-    def totals_by_name(self) -> dict[str, tuple[float, int]]:
-        """``{span name: (total seconds, count)}``, sorted by name."""
-        agg: dict[str, tuple[float, int]] = {}
-        for span in self.spans:
-            total, count = agg.get(span.name, (0.0, 0))
-            agg[span.name] = (total + span.duration_s, count + 1)
-        return dict(sorted(agg.items()))
-
-    def flame_summary(self, width: int = 60) -> str:
-        """Text flame summary: per-name totals as proportional bars."""
-        return render_flame(
-            [s.to_doc() for s in self.spans], width=width
-        )
+        self.pending.append({
+            "span_id": span_id,
+            "parent_id": self._stack[-1] if self._stack else None,
+            "name": name,
+            "start_s": start_s,
+            "duration_s": duration,
+            "status": status,
+            "attrs": attrs,
+        })
+        if self._stack:
+            return
+        append_jsonl(self.path, self.pending)
+        self.pending = []
+        if self._on_tree is not None:
+            self._on_tree()
 
 
 def render_flame(span_docs: list[dict], width: int = 60) -> str:
     """Render span documents as a text flame summary.
 
     Spans are grouped by name, sorted by total time descending, each
-    with a bar proportional to its share of the largest total.  Module
-    function so the ``repro-analyze trace`` CLI can render a flame from
-    a trace file without reconstructing a :class:`Tracer`.
+    with a bar proportional to its share of the largest total.
     """
     agg: dict[str, tuple[float, int]] = {}
     for doc in span_docs:

@@ -47,7 +47,7 @@ the seeded-population runner and the repetition-grid driver:
   :class:`~repro.obs.distributed.WorkerTelemetryConfig` ships through
   the initializer and each worker opens its own crash-safe
   :class:`~repro.obs.distributed.WorkerTelemetry` sink: one ``cell.run``
-  span per executed cell (checkpointed to disk after every cell, so a
+  span per executed cell (on disk as one tree when the cell ends, so a
   SIGKILL loses at most the in-flight cell), per-worker cell/queue-wait
   metrics, and a ``worker_heartbeat_dropped_total`` counter with a
   once-per-worker warning event when a manifest heartbeat append fails
@@ -215,9 +215,10 @@ def _execute_cell(
     The ``running`` heartbeat is appended *before* the cell body runs,
     so if this worker is SIGKILL'd mid-cell the coordinator can read
     exactly which cell (and which pid) went down with it.  With
-    telemetry enabled the body runs inside a ``cell.run`` span and the
-    worker sink is checkpointed after the cell (success *and* error
-    paths) — a later SIGKILL loses at most the in-flight cell.
+    telemetry enabled the body runs inside a ``cell.run`` span, so the
+    cell's spans reach the worker sink as one tree when it ends
+    (success *and* error paths) — a SIGKILL loses at most the in-flight
+    cell.
     """
     global _HEARTBEAT_DROPS
     started = time.monotonic()
@@ -238,52 +239,47 @@ def _execute_cell(
     queue_wait = max(0.0, started - submitted_at)
     if telem is None:
         result = fn(restored, _WORKER_EXTRA, key, attempt, payload)
+        elapsed = time.monotonic() - started
     else:
         ctx = telem.cell_context(key, attempt)
-        try:
-            with telem.obs.span(
-                CELL_SPAN_NAME, queue_wait_s=queue_wait, **ctx.as_attrs()
-            ):
-                result = fn(restored, _WORKER_EXTRA, key, attempt, payload)
-        except BaseException:
-            telem.obs.metrics.counter(
-                "worker_cell_errors_total",
-                help="cell attempts that raised in this worker",
-            ).inc()
-            telem.checkpoint()
-            raise
-        elapsed = time.monotonic() - started
         metrics = telem.obs.metrics
-        metrics.counter(
-            "worker_cells_total", help="cell attempts completed by this worker"
-        ).inc()
-        metrics.histogram(
-            "worker_cell_seconds",
-            buckets=_CELL_SECONDS_BUCKETS,
-            help="wall seconds per completed cell (heartbeat+restore+body)",
-            unit="seconds",
-        ).observe(elapsed)
-        metrics.histogram(
-            "worker_queue_wait_seconds",
-            buckets=_QUEUE_WAIT_BUCKETS,
-            help="seconds a cell sat in the pool queue before pickup",
-            unit="seconds",
-        ).observe(queue_wait)
-        telem.checkpoint()
-        return CellReply(
-            key=key,
-            attempt=attempt,
-            pid=os.getpid(),
-            queue_wait=queue_wait,
-            elapsed=elapsed,
-            result=result,
-        )
+        # Metrics are recorded before the cell span closes: closing it
+        # appends the cell's span tree and rewrites the metrics snapshot.
+        with telem.obs.span(
+            CELL_SPAN_NAME, queue_wait_s=queue_wait, **ctx.as_attrs()
+        ):
+            try:
+                result = fn(restored, _WORKER_EXTRA, key, attempt, payload)
+            except BaseException:
+                metrics.counter(
+                    "worker_cell_errors_total",
+                    help="cell attempts that raised in this worker",
+                ).inc()
+                raise
+            elapsed = time.monotonic() - started
+            metrics.counter(
+                "worker_cells_total",
+                help="cell attempts completed by this worker",
+            ).inc()
+            metrics.histogram(
+                "worker_cell_seconds",
+                buckets=_CELL_SECONDS_BUCKETS,
+                help="wall seconds per completed cell "
+                "(heartbeat+restore+body)",
+                unit="seconds",
+            ).observe(elapsed)
+            metrics.histogram(
+                "worker_queue_wait_seconds",
+                buckets=_QUEUE_WAIT_BUCKETS,
+                help="seconds a cell sat in the pool queue before pickup",
+                unit="seconds",
+            ).observe(queue_wait)
     return CellReply(
         key=key,
         attempt=attempt,
         pid=os.getpid(),
         queue_wait=queue_wait,
-        elapsed=time.monotonic() - started,
+        elapsed=elapsed,
         result=result,
     )
 

@@ -4,8 +4,9 @@ Streams synthetic Poisson traffic (or replays a data set's recorded
 trace) through :class:`~repro.service.dispatch.DispatchService` and
 prints a JSON report: per-window dispatch summaries, sustained
 throughput, dispatch-latency percentiles, and the final ε-Pareto
-archive front.  Pass ``--obs-dir`` to record ``service.window`` spans
-and the ``service_*`` metrics for ``repro-analyze trace``.
+archive front.  Pass ``--obs-dir`` to stream ``service.window`` span
+trees (one per window, appended as each window commits) and the
+``service_*`` metrics for ``repro-analyze trace``.
 """
 
 from __future__ import annotations
@@ -159,6 +160,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = DispatchService(bundle.system, config, obs=obs)
     result = service.run(batches)
     if obs is not None:
+        # Every window is already on disk; this is the final snapshot.
         obs.flush()
 
     payload = result_payload(result)

@@ -271,8 +271,15 @@ class DispatchService:
         return self.result()
 
     def process_window(self, batch: WindowBatch) -> WindowReport:
-        """Optimize, dispatch, and commit one window."""
-        cfg = self.config
+        """Optimize, dispatch, and commit one window.
+
+        With observability on, the window is one ``service.window``
+        span tree: ``service.compact``, ``service.build``,
+        ``service.seed``, the optimizer's ``ga.initial_population`` and
+        ``ga.run``, ``service.evaluate_full``, ``service.commit`` and
+        ``service.archive`` nest under it, and the tree reaches disk
+        when the window ends.
+        """
         if batch.index != self._next_window:
             raise ScheduleError(
                 f"windows must be processed in order: expected "
@@ -280,44 +287,59 @@ class DispatchService:
             )
         self._next_window += 1
         t0 = time.perf_counter()
+        with self.obs.span(
+            "service.window", index=batch.index, tasks=batch.count
+        ) as span:
+            report, reuse = self._dispatch(batch, t0)
+            self._record(report, reuse, span)
+        return report
+
+    def _dispatch(
+        self, batch: WindowBatch, t0: float
+    ) -> tuple[WindowReport, dict]:
+        cfg = self.config
+        obs = self.obs
         compacted = 0
         if (
             cfg.compact_every
             and batch.index
             and batch.index % cfg.compact_every == 0
         ):
-            compacted = self.ledger.compact(batch.start)
+            with obs.span("service.compact"):
+                compacted = self.ledger.compact(batch.start)
         if batch.count == 0:
-            report = self._idle_report(batch, compacted, t0)
-            self._record(report, reuse={})
-            return report
+            return self._idle_report(batch, compacted, t0), {}
 
-        evaluator = WindowEvaluator(
-            self.system, self.ledger, batch,
-            kernel_method=cfg.kernel_method,
-            cache_size=self._window_cache_size,
-            obs=self.obs,
-            tuf_table=self._tuf_table,
-        )
+        with obs.span("service.build"):
+            evaluator = WindowEvaluator(
+                self.system, self.ledger, batch,
+                kernel_method=cfg.kernel_method,
+                cache_size=self._window_cache_size,
+                obs=obs,
+                tuf_table=self._tuf_table,
+            )
         seeds = []
         if cfg.warm_start and self._prev_donors is not None and cfg.carryover:
-            feasible = FeasibleMachines.from_system_trace(
-                self.system, evaluator.trace
-            )
-            seeds = repair_mapped_seeds(
-                self._prev_types, self._prev_donors,
-                batch.task_types, feasible,
-                rng_seed=derive_seed(cfg.seed, "service-carry", batch.index),
-                max_seeds=min(cfg.carryover, cfg.population_size),
-                arrival_order_first=True,
-            )
+            with obs.span("service.seed"):
+                feasible = FeasibleMachines.from_system_trace(
+                    self.system, evaluator.trace
+                )
+                seeds = repair_mapped_seeds(
+                    self._prev_types, self._prev_donors,
+                    batch.task_types, feasible,
+                    rng_seed=derive_seed(
+                        cfg.seed, "service-carry", batch.index
+                    ),
+                    max_seeds=min(cfg.carryover, cfg.population_size),
+                    arrival_order_first=True,
+                )
         algorithm = make_algorithm(
             cfg.algorithm, evaluator,
             self._algorithm_config(),
             seeds=seeds,
             rng=derive_seed(cfg.seed, "service-opt", batch.index),
             label=f"window-{batch.index}",
-            obs=self.obs,
+            obs=obs,
         )
         algorithm.run(cfg.generations)
         points, rows = algorithm.current_front()
@@ -326,19 +348,22 @@ class DispatchService:
         assignment = algorithm.population.assignments[row].copy()
         order = algorithm.population.orders[row].copy()
 
-        full = evaluator.evaluate_full(assignment, order)
-        finishes = full.completion_times
-        self._flow_time_sum += float(
-            (finishes - batch.arrival_times).sum()
-        )
-        self.ledger.commit(
-            batch, assignment, evaluator.absolute_orders(order),
-            finishes, full.task_energies, full.task_utilities,
-            queue_states=full.queue_states,
-        )
-        archive_size = self._ensure_archive(points).update(
-            points, payloads=[batch.index] * points.shape[0]
-        )
+        with obs.span("service.evaluate_full"):
+            full = evaluator.evaluate_full(assignment, order)
+        with obs.span("service.commit"):
+            finishes = full.completion_times
+            self._flow_time_sum += float(
+                (finishes - batch.arrival_times).sum()
+            )
+            self.ledger.commit(
+                batch, assignment, evaluator.absolute_orders(order),
+                finishes, full.task_energies, full.task_utilities,
+                queue_states=full.queue_states,
+            )
+        with obs.span("service.archive"):
+            archive_size = self._ensure_archive(points).update(
+                points, payloads=[batch.index] * points.shape[0]
+            )
 
         # Carryover for the next window: front rows first, then the
         # rest of the final population, all in free-gene space.
@@ -365,8 +390,7 @@ class DispatchService:
             compacted=compacted,
             archive_size=archive_size,
         )
-        self._record(report, reuse=reuse)
-        return report
+        return report, reuse
 
     def _algorithm_config(self):
         from repro.core.algorithm import AlgorithmConfig
@@ -390,15 +414,13 @@ class DispatchService:
             archive_size=len(self.archive) if self.archive else 0,
         )
 
-    def _record(self, report: WindowReport, reuse: dict) -> None:
+    def _record(self, report: WindowReport, reuse: dict, span) -> None:
         self.reports.append(report)
         self._wall_seconds += report.dispatch_seconds
         obs = self.obs
         if not obs.enabled:
             return
-        obs.record_span(
-            "service.window", report.dispatch_seconds,
-            index=report.index, tasks=report.tasks,
+        span.set(
             front_size=int(report.front_points.shape[0]),
             warm_seeds=report.warm_seeds,
             kernel_adopted=report.kernel_adopted,

@@ -402,13 +402,13 @@ class BatchQueueKernel:
 
 def batch_reference_row(
     ev, assignment: np.ndarray, order: np.ndarray
-) -> tuple[float, float, np.ndarray, np.ndarray]:
+) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
     """Scalar oracle for the batch kernel's exact fold semantics.
 
     Returns ``(energy, utility, per-task finish times, queue end
-    states)`` for one chromosome, computing every queue with plain
-    Python left folds that start from *ev*'s backlog (the identity when
-    it carries none).  The end states are a ``(5, num_queues)`` plane in
+    states, per-task utilities)`` for one chromosome, computing every
+    queue with plain Python left folds that start from *ev*'s backlog
+    (the identity when it carries none).  The end states are a ``(5, num_queues)`` plane in
     :data:`STATE_FIELDS` order — the backlog a continuation of these
     queues would start from.  The TUF table is evaluated through the
     same vectorized :meth:`~repro.utility.vectorized.TUFTable.evaluate`
@@ -456,4 +456,4 @@ def batch_reference_row(
         states[3, qid] = e_q
         utility = utility + u_q
         energy = energy + e_q
-    return energy, utility, finish, states
+    return energy, utility, finish, states, task_u

@@ -348,16 +348,15 @@ class ScheduleEvaluator:
                 )
         from repro.sim.batchkernel import batch_reference_row
 
-        energy, utility, finish, states = batch_reference_row(
+        energy, utility, finish, states, task_u = batch_reference_row(
             self, assignment, allocation.scheduling_order
         )
-        elapsed = finish - self._arrivals
         return EvaluationResult(
             energy=energy,
             utility=utility,
             start_times=finish - self._etc_rows[self._row_index, assignment],
             completion_times=finish,
-            task_utilities=self._tuf_table.evaluate(self._task_types, elapsed),
+            task_utilities=task_u,
             task_energies=self._eec_rows[self._row_index, assignment],
             queue_states=states,
         )
@@ -510,7 +509,7 @@ class ScheduleEvaluator:
         energies = np.empty(N, dtype=np.float64)
         utilities = np.empty(N, dtype=np.float64)
         for i in range(N):
-            energies[i], utilities[i], _, _ = batch_reference_row(
+            energies[i], utilities[i], *_ = batch_reference_row(
                 self, assignments[i], orders[i]
             )
         return energies, utilities

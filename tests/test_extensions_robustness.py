@@ -66,7 +66,7 @@ class TestAnalyzer:
         equal the nominal point exactly: one fold order throughout."""
         alloc = random_allocation(small_system, small_trace, seed=8)
         assignment = alloc.machine_assignment
-        _, _, expected, _ = batch_reference_row(
+        _, _, expected, *_ = batch_reference_row(
             small_evaluator, assignment, alloc.scheduling_order
         )
         exec_times = np.tile(

@@ -37,65 +37,98 @@ class FakeClock:
         self.now += seconds
 
 
+def read_jsonl(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 class TestTracer:
-    def test_block_spans_nest(self):
+    def test_block_spans_nest(self, tmp_path):
         clock = FakeClock()
-        tracer = Tracer(clock=clock)
+        tracer = Tracer(tmp_path / "trace.jsonl", clock=clock)
         with tracer.span("outer", label="x"):
             clock.advance(1.0)
             with tracer.span("inner"):
                 clock.advance(0.25)
         # Children close (and are appended) before their parents.
-        inner, outer = tracer.spans
-        assert inner.name == "inner" and outer.name == "outer"
-        assert inner.parent_id == outer.span_id
-        assert outer.parent_id is None
-        assert inner.duration_s == pytest.approx(0.25)
-        assert outer.duration_s == pytest.approx(1.25)
-        assert outer.attrs == {"label": "x"}
-        assert outer.start_s == pytest.approx(0.0)
+        inner, outer = read_jsonl(tracer.path)
+        assert inner["name"] == "inner" and outer["name"] == "outer"
+        assert inner["parent_id"] == outer["span_id"]
+        assert outer["parent_id"] is None
+        assert inner["duration_s"] == pytest.approx(0.25)
+        assert outer["duration_s"] == pytest.approx(1.25)
+        assert outer["attrs"] == {"label": "x"}
+        assert outer["start_s"] == pytest.approx(0.0)
 
-    def test_record_files_under_open_parent(self):
+    def test_record_files_under_open_parent(self, tmp_path):
         clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        with tracer.span("run"):
+        tracer = Tracer(tmp_path / "trace.jsonl", clock=clock)
+        with tracer.span("run") as run_span:
             clock.advance(2.0)
             tracer.record("stage", 0.5, generation=3)
-        stage = next(s for s in tracer.spans if s.name == "stage")
-        run = next(s for s in tracer.spans if s.name == "run")
-        assert stage.parent_id == run.span_id
-        assert stage.duration_s == 0.5
-        assert stage.start_s == pytest.approx(1.5)
-        assert stage.attrs == {"generation": 3}
+            run_span.set(stages=1)
+        docs = read_jsonl(tracer.path)
+        stage = next(d for d in docs if d["name"] == "stage")
+        run = next(d for d in docs if d["name"] == "run")
+        assert stage["parent_id"] == run["span_id"]
+        assert stage["duration_s"] == 0.5
+        assert stage["start_s"] == pytest.approx(1.5)
+        assert stage["attrs"] == {"generation": 3}
+        assert run["attrs"] == {"stages": 1}
 
-    def test_exception_marks_error_status(self):
-        tracer = Tracer(clock=FakeClock())
+    def test_exception_marks_error_status(self, tmp_path):
+        tracer = Tracer(tmp_path / "trace.jsonl", clock=FakeClock())
         with pytest.raises(ValueError):
             with tracer.span("doomed"):
                 raise ValueError("boom")
-        assert tracer.spans[0].status == "error"
+        assert read_jsonl(tracer.path)[0]["status"] == "error"
 
-    def test_totals_and_flame(self):
+    def test_totals_and_flame(self, tmp_path):
         clock = FakeClock()
-        tracer = Tracer(clock=clock)
+        tracer = Tracer(tmp_path / "trace.jsonl", clock=clock)
         for _ in range(3):
             with tracer.span("work"):
                 clock.advance(1.0)
-        assert tracer.totals_by_name() == {"work": (pytest.approx(3.0), 3)}
-        flame = tracer.flame_summary(width=10)
+        docs = read_jsonl(tracer.path)
+        assert sum(d["duration_s"] for d in docs) == pytest.approx(3.0)
+        flame = render_flame(docs, width=10)
         assert "work" in flame and "x3" in flame
         assert render_flame([]) == "(no spans recorded)"
 
     def test_jsonl_round_trip(self, tmp_path):
         clock = FakeClock()
-        tracer = Tracer(clock=clock)
+        path = tmp_path / "trace.jsonl"
+        path.write_text("stale\n")
+        tracer = Tracer(path, clock=clock)
+        assert path.read_text() == ""  # created empty
         with tracer.span("a"):
             clock.advance(0.1)
-        path = tmp_path / "trace.jsonl"
-        tracer.to_jsonl(path)
-        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        docs = read_jsonl(path)
         assert docs[0]["name"] == "a" and docs[0]["status"] == "ok"
         assert validate_trace_file(path) == []
+
+    def test_trees_append_only_when_the_stack_empties(self, tmp_path):
+        """The file only ever holds complete trees: a child waits in
+        ``pending`` until its root closes, and a root-level record is
+        appended at once."""
+        trees = []
+        tracer = Tracer(
+            tmp_path / "trace.jsonl", clock=FakeClock(),
+            on_tree=lambda: trees.append(len(read_jsonl(tracer.path))),
+        )
+        with tracer.span("root"):
+            tracer.record("child", 0.1)
+            with tracer.span("nested"):
+                pass
+            assert tracer.path.read_text() == ""
+            assert [d["name"] for d in tracer.pending] == ["child", "nested"]
+        assert tracer.pending == []
+        assert trees == [3]
+        tracer.record("lone", 0.2)
+        assert trees == [3, 4]
+        assert [d["name"] for d in read_jsonl(tracer.path)] == [
+            "child", "nested", "root", "lone",
+        ]
+        assert validate_trace_file(tracer.path) == []
 
 
 class TestMetrics:
@@ -249,29 +282,32 @@ class TestPrometheusExport:
 
 
 class TestEventLog:
-    def test_threshold_filters_at_emit(self):
-        log = EventLog(level="warning", clock=FakeClock())
+    def test_threshold_filters_at_emit(self, tmp_path):
+        log = EventLog(tmp_path / "events.jsonl", level="warning",
+                       clock=FakeClock())
         log.emit("kept", level="error")
         log.emit("dropped", level="info")
-        assert [e["event"] for e in log.events] == ["kept"]
+        assert [e["event"] for e in read_jsonl(log.path)] == ["kept"]
 
-    def test_unknown_levels_rejected(self):
+    def test_unknown_levels_rejected(self, tmp_path):
         with pytest.raises(ObservabilityError):
-            EventLog(level="chatty")
-        log = EventLog(clock=FakeClock())
+            EventLog(tmp_path / "a.jsonl", level="chatty")
+        assert not (tmp_path / "a.jsonl").exists()
+        log = EventLog(tmp_path / "b.jsonl", clock=FakeClock())
         with pytest.raises(ObservabilityError):
             log.emit("x", level="chatty")
 
     def test_jsonl_schema_valid(self, tmp_path):
         clock = FakeClock()
-        log = EventLog(clock=clock)
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path, clock=clock)
         log.emit("run.started", generations=5)
+        # Appended the moment it is emitted.
+        assert len(read_jsonl(path)) == 1
         clock.advance(1.0)
         log.emit("run.finished", level="info", wall_seconds=1.0)
-        path = tmp_path / "events.jsonl"
-        log.to_jsonl(path)
         assert validate_events_file(path) == []
-        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        docs = read_jsonl(path)
         assert docs[1]["t_s"] > docs[0]["t_s"]
         assert docs[0]["fields"] == {"generations": 5}
 
@@ -279,34 +315,36 @@ class TestEventLog:
 class TestRunContext:
     def test_null_context_is_inert(self):
         assert not NULL_CONTEXT.enabled
-        with NULL_CONTEXT.span("anything"):
-            pass
+        with NULL_CONTEXT.span("anything") as span:
+            span.set(ignored=True)
         NULL_CONTEXT.record_span("x", 1.0)
         NULL_CONTEXT.event("x")
         assert NULL_CONTEXT.counter("x") is None
         assert NULL_CONTEXT.flush() is None
-        assert len(NULL_CONTEXT.tracer) == 0
+        assert NULL_CONTEXT.tracer is None and NULL_CONTEXT.obs_dir is None
         assert NULL_CONTEXT.bind(extra=1) is NULL_CONTEXT
         assert RunContext.disabled() is NULL_CONTEXT
 
-    def test_create_validates_level(self):
+    def test_create_validates_level(self, tmp_path):
         with pytest.raises(ObservabilityError):
-            RunContext.create(level="loud")
+            RunContext.create(tmp_path / "obs", level="loud")
+        assert not (tmp_path / "obs").exists()
 
-    def test_bind_shares_channels_merges_fields(self):
-        obs = RunContext.create(dataset="ds1")
+    def test_bind_shares_channels_merges_fields(self, tmp_path):
+        obs = RunContext.create(tmp_path / "obs", dataset="ds1")
         bound = obs.bind(label="random")
         assert bound.tracer is obs.tracer
         assert bound.metrics is obs.metrics
         assert bound.events is obs.events
+        assert obs.fields == {"dataset": "ds1"}
         bound.event("sampled", generation=2)
-        assert obs.events.events[0]["fields"] == {
+        assert read_jsonl(obs.obs_dir / "events.jsonl")[0]["fields"] == {
             "dataset": "ds1", "label": "random", "generation": 2,
         }
 
-    def test_debug_property(self):
-        assert RunContext.create(level="debug").debug
-        assert not RunContext.create(level="info").debug
+    def test_debug_property(self, tmp_path):
+        assert RunContext.create(tmp_path / "a", level="debug").debug
+        assert not RunContext.create(tmp_path / "b", level="info").debug
         assert not NULL_CONTEXT.debug
 
     def test_flush_writes_all_artifacts(self, tmp_path):
@@ -326,17 +364,44 @@ class TestRunContext:
         assert meta["format"] == OBS_FORMAT
         assert meta["run_id"] == "run-test"
         check_run_dir(out)
-        # Idempotent: a second flush overwrites with the fuller state.
+        # Idempotent: a second flush rewrites the snapshot, fuller.
         obs.counter("things_total").inc()
         obs.flush()
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["things_total"]["value"] == 2
+        assert len(read_jsonl(out / "trace.jsonl")) == 1
 
-    def test_in_memory_context_flushes_nowhere(self):
-        obs = RunContext.create()
-        with obs.span("work"):
-            pass
-        assert obs.flush() is None
+    def test_create_streams_without_a_flush(self, tmp_path):
+        """The directory is schema-valid from creation on, and every
+        finished tree, its metrics, and every event reach disk with no
+        ``flush()``."""
+        obs = RunContext.create(tmp_path / "obs", run_id="live")
+        assert validate_run_dir(obs.obs_dir) == []
+        assert sorted(p.name for p in obs.obs_dir.iterdir()) == [
+            "events.jsonl", "meta.json", "metrics.json", "metrics.prom",
+            "trace.jsonl",
+        ]
+        obs.event("run.started")
+        with obs.span("window"):
+            obs.counter("windows_total").inc()
+            obs.record_span("step", 0.01)
+        data = load_run_dir(obs.obs_dir)
+        assert [s["name"] for s in data["spans"]] == ["step", "window"]
+        assert [e["event"] for e in data["events"]] == ["run.started"]
+        assert data["metrics"]["windows_total"]["value"] == 1
+        assert validate_run_dir(obs.obs_dir) == []
+
+    def test_channels_share_one_epoch(self, tmp_path):
+        obs = RunContext.create(tmp_path / "obs")
+        meta = json.loads((obs.obs_dir / "meta.json").read_text())
+        assert obs.tracer.epoch_s == meta["clock"]["monotonic_s"]
+        assert obs.events.epoch_s == obs.tracer.epoch_s
+        with obs.span("s"):
+            obs.event("inside")
+        span = read_jsonl(obs.obs_dir / "trace.jsonl")[0]
+        event = read_jsonl(obs.obs_dir / "events.jsonl")[0]
+        assert span["start_s"] <= event["t_s"]
+        assert event["t_s"] <= span["start_s"] + span["duration_s"]
 
 
 class TestSchema:

@@ -74,11 +74,9 @@ class TestTraceContext:
         ctx = TraceContext(run_id="r", cell=("a", 1))
         assert ctx.as_attrs()["cell"] == str(("a", 1))
 
-    def test_config_is_none_when_dark_or_in_memory(self, tmp_path):
+    def test_config_is_none_when_dark(self, tmp_path):
         assert WorkerTelemetryConfig.from_context(None) is None
         assert WorkerTelemetryConfig.from_context(NULL_CONTEXT) is None
-        # Enabled but in-memory: no destination, stays coordinator-only.
-        assert WorkerTelemetryConfig.from_context(RunContext.create()) is None
         obs = RunContext.create(obs_dir=tmp_path / "obs", run_id="x")
         config = WorkerTelemetryConfig.from_context(obs, grid_id="g")
         assert config is not None
@@ -89,7 +87,7 @@ class TestTraceContext:
 
 class TestWorkerTelemetrySink:
     def test_open_creates_schema_valid_dir_eagerly(self, tmp_path):
-        """A worker killed before its first checkpoint must still leave
+        """A worker killed before its first cell ends must still leave
         a complete (empty) sink directory."""
         obs = RunContext.create(obs_dir=tmp_path / "obs", run_id="run")
         telem = WorkerTelemetryConfig.from_context(obs).open()
@@ -98,18 +96,17 @@ class TestWorkerTelemetrySink:
         assert meta["fields"]["worker"] == telem.pid
         assert "monotonic_s" in meta["clock"]
 
-    def test_checkpoint_appends_incrementally(self, tmp_path):
+    def test_cells_append_incrementally(self, tmp_path):
+        """Each finished cell span is on disk before the next cell."""
         obs = RunContext.create(obs_dir=tmp_path / "obs", run_id="run")
         telem = WorkerTelemetryConfig.from_context(obs).open()
         with telem.obs.span(CELL_SPAN_NAME, cell=0):
-            pass
-        telem.checkpoint()
-        assert len(_read_spans(telem.dir)) == 1
+            telem.obs.record_span("ga.run", 0.001)
+        assert len(_read_spans(telem.dir)) == 2
         with telem.obs.span(CELL_SPAN_NAME, cell=1):
-            pass
-        telem.checkpoint()
+            assert len(_read_spans(telem.dir)) == 2
         spans = _read_spans(telem.dir)
-        assert len(spans) == 2
+        assert len(spans) == 3
         assert validate_run_dir(telem.dir) == []
 
     def test_heartbeat_drop_counted_and_warned_once(self, tmp_path):
@@ -117,7 +114,10 @@ class TestWorkerTelemetrySink:
         telem = WorkerTelemetryConfig.from_context(obs).open()
         for attempt in (1, 2, 3):
             telem.heartbeat_dropped(0, attempt, OSError("disk gone"))
-        telem.checkpoint()
+            # The engine runs the cell next; its span's end persists
+            # the metrics snapshot.
+            with telem.obs.span(CELL_SPAN_NAME, cell=0, attempt=attempt):
+                pass
         metrics = json.loads((telem.dir / "metrics.json").read_text())
         assert metrics["worker_heartbeat_dropped_total"]["value"] == 3.0
         events = [
@@ -156,7 +156,6 @@ class TestCollector:
         telem = WorkerTelemetryConfig.from_context(obs).open()
         with telem.obs.span(CELL_SPAN_NAME, cell=0):
             pass
-        telem.checkpoint()
         obs.flush()
         # Skew the worker's anchor 100 s earlier than the coordinator's:
         # its local timestamps are then 100 s "too large" and the
@@ -178,7 +177,6 @@ class TestCollector:
         telem = WorkerTelemetryConfig.from_context(obs).open()
         with telem.obs.span(CELL_SPAN_NAME, cell=0):
             pass
-        telem.checkpoint()
         # Simulate a SIGKILL mid-append: a torn half-line at the tail.
         with open(telem.dir / "trace.jsonl", "a") as fh:
             fh.write('{"span_id": 99, "name": "cell.ru')

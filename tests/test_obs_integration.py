@@ -44,9 +44,9 @@ def _metric(metrics: dict, name: str) -> float:
 
 
 class TestDeterminism:
-    def test_fronts_bit_identical_with_obs_on(self, bundle):
+    def test_fronts_bit_identical_with_obs_on(self, bundle, tmp_path):
         dark = run_seeded_populations(bundle, CFG, labels=LABELS)
-        obs = RunContext.create(level="debug")
+        obs = RunContext.create(tmp_path / "obs", level="debug")
         lit = run_seeded_populations(bundle, CFG, labels=LABELS, obs=obs)
         for label in LABELS:
             np.testing.assert_array_equal(
@@ -65,7 +65,7 @@ class TestDeterminism:
             bundle, CFG, labels=("random",),
             checkpoint_dir=str(tmp_path / "dark"),
         )
-        obs = RunContext.create(level="debug")
+        obs = RunContext.create(tmp_path / "obs", level="debug")
         run_seeded_populations(
             bundle, CFG, labels=("random",),
             checkpoint_dir=str(tmp_path / "lit"), obs=obs,
@@ -97,7 +97,7 @@ class TestDeterminism:
         # generations 1..4 — crash at call 4 (generation 3), after the
         # generation-2 checkpoint is durable.
         plan = FaultPlan().crash("evaluate", at_call=4)
-        obs = RunContext.create(level="debug")
+        obs = RunContext.create(tmp_path / "obs1", level="debug")
         with pytest.raises(Exception):
             run_seeded_populations(
                 bundle, stop_at_2, labels=("random",),
@@ -105,7 +105,7 @@ class TestDeterminism:
                 evaluation_fault_hook=plan.evaluation_hook(),
                 strict=True, obs=obs,
             )
-        obs2 = RunContext.create(level="debug")
+        obs2 = RunContext.create(tmp_path / "obs2", level="debug")
         resumed = run_seeded_populations(
             bundle, stop_at_2, labels=("random",),
             checkpoint_dir=ckpt, resume=True, obs=obs2,
@@ -114,8 +114,10 @@ class TestDeterminism:
             dark.histories["random"].final.front_points,
             resumed.histories["random"].final.front_points,
         )
-        events = [e["event"] for e in obs2.events.events]
+        events = [e["event"] for e in load_run_dir(obs2.obs_dir)["events"]]
         assert "run.resumed" in events
+        # The crashed leg's directory holds complete, valid trees.
+        assert validate_run_dir(obs.obs_dir) == []
 
 
 class TestInstrumentedRun:
@@ -153,16 +155,18 @@ class TestInstrumentedRun:
         assert metrics["evaluator_batch_seconds"]["count"] > 0
         assert _metric(metrics, "process_max_rss_bytes") > 0
 
-    def test_stage_totals_reconcile_with_stage_timings(self, bundle):
+    def test_stage_totals_reconcile_with_stage_timings(
+        self, bundle, tmp_path
+    ):
         """The trace's aggregate stage spans equal the engine's own
         StageTimings (well within the 1% acceptance bound)."""
         evaluator = ScheduleEvaluator(bundle.system, bundle.trace,
                                       check_feasibility=False)
-        obs = RunContext.create(level="info")
+        obs = RunContext.create(tmp_path / "obs", level="info")
         ga = NSGA2(evaluator, AlgorithmConfig(population_size=12), rng=5,
                    obs=obs)
         ga.run(6)
-        traced = stage_totals([s.to_doc() for s in obs.tracer.spans])
+        traced = stage_totals(load_run_dir(obs.obs_dir)["spans"])
         assert set(traced) == set(ga.stage_timings.totals)
         for stage, (total, count) in traced.items():
             assert total == pytest.approx(
@@ -170,14 +174,16 @@ class TestInstrumentedRun:
             )
             assert count == ga.stage_timings.counts[stage] == 6
 
-    def test_info_level_omits_per_generation_stage_spans(self, bundle):
+    def test_info_level_omits_per_generation_stage_spans(
+        self, bundle, tmp_path
+    ):
         evaluator = ScheduleEvaluator(bundle.system, bundle.trace,
                                       check_feasibility=False)
-        obs = RunContext.create(level="info")
+        obs = RunContext.create(tmp_path / "obs", level="info")
         ga = NSGA2(evaluator, AlgorithmConfig(population_size=12), rng=6,
                    obs=obs)
         ga.run(3)
-        names = [s.name for s in obs.tracer.spans]
+        names = [s["name"] for s in load_run_dir(obs.obs_dir)["spans"]]
         assert not any(n.startswith("ga.stage.") for n in names)
         assert any(n.startswith("ga.stage_total.") for n in names)
         assert names.count("ga.generation") == 3
@@ -192,7 +198,7 @@ class TestInstrumentedRun:
 
 class TestFailureTelemetry:
     def test_retry_and_fault_events_recorded(self, bundle, tmp_path):
-        obs = RunContext.create(level="debug")
+        obs = RunContext.create(tmp_path / "obs", level="debug")
         plan = FaultPlan().transient("random", failures=1).observe(obs)
         sleeps = []
         result = run_seeded_populations(
@@ -201,15 +207,15 @@ class TestFailureTelemetry:
             fault_hook=plan.on_attempt, sleep=sleeps.append, obs=obs,
         )
         assert "random" in result.histories
-        events = [e["event"] for e in obs.events.events]
+        events = [e["event"] for e in load_run_dir(obs.obs_dir)["events"]]
         assert "fault.injected" in events
         assert "retry.scheduled" in events
         metrics = obs.metrics.as_dict()
         assert _metric(metrics, "runner_retries_total") == 1
         assert _metric(metrics, "faults_injected_total") == 1
 
-    def test_exhausted_population_records_failure(self, bundle):
-        obs = RunContext.create(level="debug")
+    def test_exhausted_population_records_failure(self, bundle, tmp_path):
+        obs = RunContext.create(tmp_path / "obs", level="debug")
         plan = FaultPlan().crash("random").observe(obs)
         result = run_seeded_populations(
             bundle, CFG, labels=LABELS,
@@ -217,14 +223,14 @@ class TestFailureTelemetry:
             fault_hook=plan.on_attempt, sleep=lambda _s: None, obs=obs,
         )
         assert result.failed_labels == ("random",)
-        events = [e["event"] for e in obs.events.events]
+        events = [e["event"] for e in load_run_dir(obs.obs_dir)["events"]]
         assert "population.failed" in events
         assert _metric(obs.metrics.as_dict(), "runner_failures_total") == 1
 
-    def test_fault_plan_obs_dropped_on_pickle(self):
+    def test_fault_plan_obs_dropped_on_pickle(self, tmp_path):
         import pickle
 
-        obs = RunContext.create()
+        obs = RunContext.create(tmp_path / "obs")
         plan = FaultPlan(seed=3).crash("x").observe(obs)
         clone = pickle.loads(pickle.dumps(plan))
         assert clone._obs is None
@@ -232,10 +238,10 @@ class TestFailureTelemetry:
 
 
 class TestEvaluatorCacheMetrics:
-    def test_evictions_counted(self, bundle):
+    def test_evictions_counted(self, bundle, tmp_path):
         """The batch kernel's capacity clears reach the evictions
         counter, and the hit/miss counters carry its queue counts."""
-        obs = RunContext.create()
+        obs = RunContext.create(tmp_path / "obs")
         # An 8-entry budget (a 16-slot table) clears within a generation.
         evaluator = ScheduleEvaluator(bundle.system, bundle.trace,
                                       check_feasibility=False,

@@ -306,10 +306,10 @@ class TestTransports:
 
 
 class TestObservability:
-    def test_coordinator_metrics_recorded(self, bundle):
+    def test_coordinator_metrics_recorded(self, bundle, tmp_path):
         from repro.obs.context import RunContext
 
-        obs = RunContext.create()
+        obs = RunContext.create(tmp_path / "obs")
         with descriptors.publish_dataset(bundle, obs=obs) as published:
             with ParallelEngine(
                 2, handle=published.handle, obs=obs

@@ -88,8 +88,8 @@ class TestRepetitionsBitIdentity:
         assert len(result.fronts) == 1
         assert shm.owned_segments() == ()
 
-    def test_parallel_records_coordinator_metrics(self, bundle):
-        obs = RunContext.create()
+    def test_parallel_records_coordinator_metrics(self, bundle, tmp_path):
+        obs = RunContext.create(tmp_path / "obs")
         run_repetitions(
             bundle, repetitions=3, generations=3, population_size=10,
             workers=2, obs=obs,
@@ -133,8 +133,8 @@ class TestSeededPopulationsBitIdentity:
             parallel.histories["random"].final.front_points,
         )
 
-    def test_parallel_records_coordinator_metrics(self, bundle):
-        obs = RunContext.create()
+    def test_parallel_records_coordinator_metrics(self, bundle, tmp_path):
+        obs = RunContext.create(tmp_path / "obs")
         run_seeded_populations(
             bundle, CFG, labels=["random", "min-energy"], workers=2, obs=obs
         )

@@ -261,10 +261,10 @@ class TestPublishDataset:
         assert name not in shm.owned_segments()
         assert name not in shm.leaked_segments()
 
-    def test_publish_records_obs(self, bundle):
+    def test_publish_records_obs(self, bundle, tmp_path):
         from repro.obs.context import RunContext
 
-        obs = RunContext.create()
+        obs = RunContext.create(tmp_path / "obs")
         with descriptors.publish_dataset(bundle, obs=obs) as published:
             snap = obs.metrics.as_dict()
             assert snap["parallel_segment_bytes"]["value"] == published.nbytes

@@ -205,6 +205,77 @@ class TestServiceObservability:
             s["attrs"].get("kernel_adopted") for s in window_spans
         )
 
+    def test_window_span_tree_covers_the_window(self, small_system, tmp_path):
+        """Every span recorded during a window has ``service.window`` as
+        an ancestor, and the window's direct children plus an explicit
+        residual make up its whole duration.  ``aggregate`` spans (the
+        optimizer's per-run stage totals) summarize time already inside
+        ``ga.run`` and are not intervals of their own."""
+        obs = RunContext.create(tmp_path / "obs", run_id="svc-tree")
+        service = DispatchService(small_system, small_config(), obs=obs)
+        service.run(stream_for(small_system, rate=0.2).windows(6))
+        spans = [
+            json.loads(line)
+            for line in (tmp_path / "obs" / "trace.jsonl").read_text()
+            .splitlines()
+        ]
+        by_id = {s["span_id"]: s for s in spans}
+
+        def root_of(span):
+            while span["parent_id"] is not None:
+                span = by_id[span["parent_id"]]
+            return span
+
+        assert all(root_of(s)["name"] == "service.window" for s in spans)
+        windows = [s for s in spans if s["name"] == "service.window"]
+        assert [w["attrs"]["index"] for w in windows] == list(range(6))
+        children: dict[int, list] = {w["span_id"]: [] for w in windows}
+        for s in spans:
+            if s["parent_id"] in children and not s["attrs"].get("aggregate"):
+                children[s["parent_id"]].append(s)
+        names = {c["name"] for kids in children.values() for c in kids}
+        assert names == {
+            "service.compact", "service.build", "service.seed",
+            "ga.initial_population", "ga.run", "service.evaluate_full",
+            "service.commit", "service.archive",
+        }
+        for w in windows:
+            attributed = sum(c["duration_s"] for c in children[w["span_id"]])
+            residual = w["duration_s"] - attributed
+            assert attributed + residual == pytest.approx(w["duration_s"])
+            assert residual >= 0.0
+            assert {"front_size", "warm_seeds", "kernel_adopted",
+                    "reuse_rate", "compacted"} <= set(w["attrs"])
+
+    def test_telemetry_memory_does_not_grow_with_windows(
+        self, small_system, tmp_path
+    ):
+        """Each window's tree leaves memory when it reaches disk: after
+        any number of windows the tracer holds no pending spans and no
+        telemetry container grows with the window count."""
+        obs = RunContext.create(tmp_path / "obs", run_id="svc-bounded")
+        service = DispatchService(small_system, small_config(), obs=obs)
+        batches = stream_for(small_system, rate=0.2).windows(12)
+
+        def sizes():
+            channels = (obs.tracer, obs.events, obs.metrics)
+            return {
+                (type(c).__name__, name): len(value)
+                for c in channels
+                for name, value in vars(c).items()
+                if isinstance(value, (list, dict, set))
+            }
+
+        for _ in range(4):
+            service.process_window(next(batches))
+        assert obs.tracer.pending == []
+        before = sizes()
+        for batch in batches:
+            service.process_window(batch)
+        assert obs.tracer.pending == []
+        assert sizes() == before
+        assert (tmp_path / "obs" / "trace.jsonl").stat().st_size > 0
+
     def test_dark_by_default(self, small_system):
         service = DispatchService(small_system, small_config())
         assert not service.obs.enabled

@@ -363,7 +363,7 @@ class TestMakespanBatchKernel:
                                             bag_of_tasks=bag_of_tasks)
             energies, neg_makespans = batch.evaluate_batch(assignments, orders)
             for i in range(6):
-                energy, _, finish, _ = batch_reference_row(
+                energy, _, finish, *_ = batch_reference_row(
                     batch, assignments[i], orders[i]
                 )
                 assert energies[i] == energy

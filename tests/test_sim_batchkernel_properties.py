@@ -119,7 +119,7 @@ def assert_matches_oracle(ev, kernel, assignments, orders, want_finish):
     else:
         e, u = kernel.evaluate_population(assignments, orders)
     for i, (a, o) in enumerate(zip(assignments, orders)):
-        energy, utility, _, states = batch_reference_row(ev, a, o)
+        energy, utility, _, states, _ = batch_reference_row(ev, a, o)
         assert e[i] == energy
         assert u[i] == utility
         if want_finish:

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ScheduleError
 from repro.sim.evaluator import ScheduleEvaluator
 from repro.sim.schedule import ResourceAllocation
+from repro.utility.vectorized import TUFTable
 from repro.workload.trace import Trace
 
 from conftest import make_tiny_system, random_allocation
@@ -141,6 +142,23 @@ class TestBatchConsistency:
             res = small_evaluator.evaluate(alloc)
             assert energies[i] == pytest.approx(res.energy)
             assert utilities[i] == pytest.approx(res.utility)
+
+    def test_task_utilities_are_the_tuf_table_of_elapsed_times(
+        self, small_system, small_trace, small_evaluator
+    ):
+        """``evaluate`` takes per-task utilities from the oracle's one TUF
+        pass; they stay bit-identical to a fresh table evaluation."""
+        table = TUFTable.from_system(small_system)
+        for seed in range(4):
+            res = small_evaluator.evaluate(
+                random_allocation(small_system, small_trace, seed=seed)
+            )
+            expected = table.evaluate(
+                small_trace.task_types,
+                res.completion_times - small_trace.arrival_times,
+            )
+            np.testing.assert_array_equal(res.task_utilities, expected)
+            assert res.utility == pytest.approx(res.task_utilities.sum())
 
     def test_empty_batch(self, small_evaluator):
         e, u = small_evaluator.evaluate_batch(

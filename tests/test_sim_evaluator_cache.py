@@ -44,7 +44,7 @@ def make_evaluator(system, trace, **kwargs):
 def assert_matches_oracle(ev, assignments, orders):
     energies, utilities = ev.evaluate_batch(assignments, orders)
     for i in range(assignments.shape[0]):
-        energy, utility, _, _ = batch_reference_row(ev, assignments[i], orders[i])
+        energy, utility, *_ = batch_reference_row(ev, assignments[i], orders[i])
         assert energies[i] == energy
         assert utilities[i] == utility
 
